@@ -1,19 +1,16 @@
 // bench/pushdown_lookup: pushdown point lookups via classifier
-// resubmission chains (DESIGN.md §15) vs the route-only baseline, plus
-// the pre-decoded-VM interpreter microbenchmark.
+// resubmission chains (DESIGN.md §15) vs the route-only baseline.
 //
-// Three measurements, all gated (exit 2 on violation), written to
+// Two measurements, both gated (exit 2 on violation), written to
 // BENCH_pushdown.json:
 //   1. Guest-visible completions per lookup: exactly 1 with the
 //      pushdown classifier vs `levels` reads for route-only.
 //   2. Guest-visible lookup latency: the chain must beat the route-only
 //      walk on every multi-level tree (it saves a vCQ post + interrupt +
 //      guest resubmit per hop).
-//   3. Host wall-clock per classifier invocation: the pre-decoded VM
-//      must be >= 30% cheaper than the legacy interpreter, with
-//      bit-identical verdict streams.
+// The classifier engine's bit-identity with the interpreter is a ctest
+// (PushdownEngineTest in tests/resubmit_test.cc).
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -21,7 +18,6 @@
 
 #include "common/flags.h"
 #include "common/strutil.h"
-#include "core/classifier.h"
 #include "core/router.h"
 #include "ebpf/assembler.h"
 #include "functions/classifiers.h"
@@ -245,95 +241,8 @@ bool RunSize(u64 nkeys, u32 lookups, const std::string& prom_path,
   return true;
 }
 
-struct MicroResult {
-  double legacy_ns = 0, pre_decoded_ns = 0;
-  double improvement_pct = 0;
-  bool identical = true;
-};
-
-/// Host wall-clock per classifier invocation, legacy interpreter vs
-/// pre-decoded VM, over a mixed VSQ/completion-hook ctx workload; also
-/// checks the two verdict streams are bit-identical (verdict, simulated
-/// cost, status, and the ctx fields the classifier writes).
-bool RunMicro(u32 iters, MicroResult* out) {
-  auto prog = functions::PushdownLookupClassifier();
-  if (!prog.ok()) return false;
-  auto legacy = core::ClassifierRuntime::Create(
-      *prog, core::ClassifierRuntime::Options{.pre_decoded = false});
-  auto fast = core::ClassifierRuntime::Create(
-      *prog, core::ClassifierRuntime::Options{.pre_decoded = true});
-  if (!legacy.ok() || !fast.ok()) return false;
-
-  // One internal block (level 1) with a full fanout of entries.
-  std::vector<std::pair<u64, u64>> entries;
-  for (u32 i = 0; i < kv::kPushdownFanout; i++)
-    entries.push_back({i * 100, 1000 + i * 8});
-  kv::PushdownIndex blk = kv::BuildPushdownIndex(entries, 0);
-  // BuildPushdownIndex makes a leaf; patch the level to 1 so the
-  // classifier treats it as internal and runs the full search + rewrite.
-  u64 word0 = (static_cast<u64>(kv::kPushdownMagic) << 32) | 1;
-  memcpy(blk.image.data(), &word0, 8);
-
-  std::vector<core::ClassifierCtx> work;
-  for (u32 i = 0; i < 64; i++) {
-    core::ClassifierCtx c{};
-    if (i % 4 == 0) {
-      c.current_hook = core::kHookVsq;
-      c.opcode = nvme::kCmdRead;
-      c.slba = i * 8;
-      c.nlb = 8;
-    } else {
-      c.current_hook = core::kHookHcq;
-      c.opcode = nvme::kCmdRead;
-      c.slba = 0;
-      c.nlb = 8;
-      c.cmd_arg = (i * 37) % (kv::kPushdownFanout * 100);
-      c.data = reinterpret_cast<u64>(blk.image.data());
-      c.data_len = kv::kPushdownBlockBytes;
-      c.chain_depth = 1;
-    }
-    c.nsid = 1;
-    c.part_limit = 1 << 20;
-    work.push_back(c);
-  }
-
-  // Bit-identity first (also warms both engines).
-  for (const core::ClassifierCtx& t : work) {
-    core::ClassifierCtx a = t, b = t;
-    auto ra = (*legacy)->Run(&a);
-    auto rb = (*fast)->Run(&b);
-    if (ra.verdict != rb.verdict || ra.cpu_cost != rb.cpu_cost ||
-        ra.status.ok() != rb.status.ok() || a.slba != b.slba ||
-        a.nlb != b.nlb || a.state != b.state)
-      out->identical = false;
-  }
-
-  auto time_engine = [&](core::ClassifierRuntime* rt) {
-    auto t0 = std::chrono::steady_clock::now();
-    u64 sink = 0;
-    for (u32 it = 0; it < iters; it++) {
-      for (const core::ClassifierCtx& t : work) {
-        core::ClassifierCtx c = t;
-        sink += rt->Run(&c).verdict;
-      }
-    }
-    auto t1 = std::chrono::steady_clock::now();
-    if (sink == 0x12345) std::fprintf(stderr, "!\n");  // keep `sink` live
-    double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    return ns / (static_cast<double>(iters) * work.size());
-  };
-
-  out->legacy_ns = time_engine(legacy->get());
-  out->pre_decoded_ns = time_engine(fast->get());
-  out->improvement_pct =
-      100.0 * (out->legacy_ns - out->pre_decoded_ns) / out->legacy_ns;
-  return true;
-}
-
 bool WriteJson(const std::string& path, const std::vector<SizeResult>& sizes,
-               const MicroResult& micro, bool ok) {
+               bool ok) {
   FILE* f = fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -355,13 +264,7 @@ bool WriteJson(const std::string& path, const std::vector<SizeResult>& sizes,
             s.resubmits_per_lookup, s.values_ok ? "true" : "false",
             i + 1 < sizes.size() ? "," : "");
   }
-  fprintf(f,
-          "  ],\n  \"micro\": {\"legacy_ns_per_invocation\": %.1f,\n"
-          "            \"pre_decoded_ns_per_invocation\": %.1f,\n"
-          "            \"improvement_pct\": %.1f, \"bit_identical\": %s},\n"
-          "  \"ok\": %s\n}\n",
-          micro.legacy_ns, micro.pre_decoded_ns, micro.improvement_pct,
-          micro.identical ? "true" : "false", ok ? "true" : "false");
+  fprintf(f, "  ],\n  \"ok\": %s\n}\n", ok ? "true" : "false");
   fclose(f);
   return true;
 }
@@ -370,9 +273,7 @@ int Main(int argc, const char* const* argv) {
   Flags flags;
   flags.DefineBool("sweep", false, "run all tree sizes");
   flags.DefineBool("quick", false, "smaller trees, fewer lookups");
-  flags.DefineBool("micro", true, "run the interpreter microbenchmark");
   flags.DefineInt("lookups", 32, "point lookups per tree size");
-  flags.DefineInt("micro-iters", 2000, "microbenchmark repetitions");
   flags.DefineString("json", "BENCH_pushdown.json", "output path");
   flags.DefineString("prom", "",
                      "export the pushdown testbed's Prometheus metrics here");
@@ -426,30 +327,11 @@ int Main(int argc, const char* const* argv) {
     results.push_back(r);
   }
 
-  MicroResult micro;
-  bool gate_micro = true, gate_ident = true;
-  if (flags.GetBool("micro")) {
-    u32 iters = static_cast<u32>(flags.GetInt("micro-iters"));
-    if (quick) iters = std::min(iters, 500u);
-    if (!RunMicro(iters, &micro)) {
-      std::fprintf(stderr, "micro failed\n");
-      return 1;
-    }
-    std::printf("\nmicro: legacy %.1f ns/invocation, pre-decoded %.1f "
-                "ns/invocation (%.1f%% better), bit-identical=%s\n",
-                micro.legacy_ns, micro.pre_decoded_ns,
-                micro.improvement_pct, micro.identical ? "yes" : "NO");
-    gate_micro = micro.improvement_pct >= 30.0;
-    gate_ident = micro.identical;
-  }
-
-  bool ok = gate_cpl && gate_lat && gate_values && gate_micro && gate_ident;
-  WriteJson(flags.GetString("json"), results, micro, ok);
-  std::printf("\ngates: completions=%s latency=%s values=%s micro>=30%%=%s "
-              "bit-identical=%s\n",
+  bool ok = gate_cpl && gate_lat && gate_values;
+  WriteJson(flags.GetString("json"), results, ok);
+  std::printf("\ngates: completions=%s latency=%s values=%s\n",
               gate_cpl ? "ok" : "FAIL", gate_lat ? "ok" : "FAIL",
-              gate_values ? "ok" : "FAIL", gate_micro ? "ok" : "FAIL",
-              gate_ident ? "ok" : "FAIL");
+              gate_values ? "ok" : "FAIL");
   return ok ? 0 : 2;
 }
 

@@ -138,8 +138,7 @@ std::unique_ptr<SolutionBundle> SolutionBundle::Create(Testbed* tb,
           impl = std::move(*enc);
         } else {
           auto enc = functions::EncryptorUif::Create(
-              &tb->sim, b.kernel_dev_.get(), b.xts_key_.data(),
-              b.xts_key_.size());
+              b.kernel_dev_.get(), b.xts_key_.data(), b.xts_key_.size());
           if (!enc.ok()) return nullptr;
           b.uif_host_->AddFunction(channel.get(), vm_ptr, enc->get());
           impl = std::move(*enc);
@@ -161,8 +160,7 @@ std::unique_ptr<SolutionBundle> SolutionBundle::Create(Testbed* tb,
             &tb->sim, sdev.get());
         auto channel = std::make_unique<core::NotifyChannel>();
         vc->AttachUif(channel.get());
-        auto repl = std::make_unique<functions::ReplicatorUif>(
-            &tb->sim, remote.get());
+        auto repl = std::make_unique<functions::ReplicatorUif>(remote.get());
         repl->AttachPrimary(b.kernel_dev_.get());
         b.uif_host_->AddFunction(channel.get(), vm_ptr, repl.get());
         if (params.fault) {

@@ -36,18 +36,12 @@ const ebpf::CtxDescriptor& NvmetroCtxDescriptor() {
   return *kDesc;
 }
 
-ClassifierRuntime::ClassifierRuntime(ebpf::Program prog, Options opts)
-    : prog_(std::move(prog)),
-      decoded_(ebpf::DecodedProgram::Decode(prog_)),
-      pre_decoded_(opts.pre_decoded) {}
-
 Result<std::unique_ptr<ClassifierRuntime>> ClassifierRuntime::Create(
-    ebpf::Program prog, Options opts) {
+    ebpf::Program prog) {
   ebpf::Verifier verifier(NvmetroCtxDescriptor(),
                           ebpf::HelperRegistry::Default());
   NVM_RETURN_IF_ERROR(verifier.Verify(prog));
-  return std::unique_ptr<ClassifierRuntime>(
-      new ClassifierRuntime(std::move(prog), opts));
+  return std::unique_ptr<ClassifierRuntime>(new ClassifierRuntime(prog));
 }
 
 ClassifierRuntime::RunResult ClassifierRuntime::Run(ClassifierCtx* ctx) {
@@ -58,15 +52,11 @@ ClassifierRuntime::RunResult ClassifierRuntime::Run(ClassifierCtx* ctx) {
   params.ctx_desc = &NvmetroCtxDescriptor();
   params.data = reinterpret_cast<const void*>(ctx->data);
   params.data_len = static_cast<u32>(ctx->data_len);
-  auto r = pre_decoded_ ? dvm_.Run(decoded_, params)
-                        : interp_.Run(prog_, params);
+  auto r = dvm_.Run(decoded_, params);
   RunResult out;
   out.status = r.status;
   out.verdict = r.r0;
-  out.cpu_cost =
-      kClassifierBaseCost +
-      static_cast<SimTime>(static_cast<double>(r.insns) *
-                           kClassifierPerInsnCost);
+  out.cpu_cost = ClassifierCost(r.insns);
   return out;
 }
 

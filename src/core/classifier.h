@@ -19,7 +19,6 @@
 
 #include "common/types.h"
 #include "ebpf/helpers.h"
-#include "ebpf/interpreter.h"
 #include "ebpf/program.h"
 #include "ebpf/verifier.h"
 #include "ebpf/vm.h"
@@ -100,17 +99,11 @@ constexpr u32 kClassifierDataRegionSize = 4096;
 ///
 /// Create() pre-decodes the insn stream once (ebpf/vm.h) so per-hop
 /// invocation — which resubmission chains multiply — skips all field
-/// decoding; the legacy interpreter is kept behind
-/// Options{pre_decoded = false} as the ablation baseline. The two
-/// engines produce bit-identical verdict streams, and the *simulated*
-/// cost model is the same for both (the pre-decode win is host wall
-/// clock, measured by bench/pushdown_lookup --micro).
+/// decoding. The legacy interpreter (ebpf/interpreter.h) is the test
+/// oracle: the conformance and pushdown suites pin bit-identical verdict
+/// streams and instruction counts, hence identical simulated cost.
 class ClassifierRuntime {
  public:
-  struct Options {
-    bool pre_decoded = true;
-  };
-
   struct RunResult {
     u64 verdict = 0;
     SimTime cpu_cost = 0;
@@ -120,37 +113,33 @@ class ClassifierRuntime {
   /// Verifies `prog` against the NVMetro context; fails on rejection
   /// (the router refuses unverifiable classifiers).
   static Result<std::unique_ptr<ClassifierRuntime>> Create(
-      ebpf::Program prog, Options opts);
-  static Result<std::unique_ptr<ClassifierRuntime>> Create(
-      ebpf::Program prog) {
-    return Create(std::move(prog), Options{});
-  }
+      ebpf::Program prog);
 
   /// Runs the classifier for one hook invocation. When ctx->data is
   /// set, that page is registered as the run's read-only data region.
   RunResult Run(ClassifierCtx* ctx);
 
   /// Simulated-clock / RNG hookup for helpers.
-  ebpf::HelperEnv& env() {
-    return pre_decoded_ ? dvm_.env() : interp_.env();
-  }
+  ebpf::HelperEnv& env() { return dvm_.env(); }
 
   u64 invocations() const { return invocations_; }
-  bool pre_decoded() const { return pre_decoded_; }
 
  private:
-  ClassifierRuntime(ebpf::Program prog, Options opts);
+  explicit ClassifierRuntime(const ebpf::Program& prog)
+      : decoded_(ebpf::DecodedProgram::Decode(prog)) {}
 
-  ebpf::Program prog_;
   ebpf::DecodedProgram decoded_;
-  ebpf::Interpreter interp_;
   ebpf::DecodedVm dvm_;
-  bool pre_decoded_ = true;
   u64 invocations_ = 0;
 };
 
 /// Classifier invocation cost model: fixed entry/exit plus per-insn.
 constexpr SimTime kClassifierBaseCost = 90;
 constexpr double kClassifierPerInsnCost = 1.6;
+constexpr SimTime ClassifierCost(u64 insns) {
+  return kClassifierBaseCost +
+         static_cast<SimTime>(static_cast<double>(insns) *
+                              kClassifierPerInsnCost);
+}
 
 }  // namespace nvmetro::core

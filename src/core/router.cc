@@ -1,5 +1,6 @@
 #include "core/router.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/obs.h"
@@ -148,7 +149,7 @@ Status VirtualController::AttachQueuePair(u16 qid, nvme::SqRing* sq,
   if (!host_q.ok()) return host_q.status();
   sh->host_qid = *host_q;
   // Completions awaiting one interrupt are bounded by the VCQ depth;
-  // reserving to it keeps coalescing bursts reallocation-free.
+  // reserving to it keeps deep batches reallocation-free.
   sh->ReserveScratch(cq->entries());
   // Flight ring allocated at attach time (never on the IO path); the
   // queue index is the shard index so TagShard(tag) resolves it.
@@ -206,31 +207,13 @@ RequestEntry* VirtualController::EntryByTag(u32 tag) {
 
 void VirtualController::PollVsq(usize /*unused*/) {
   Touch();
-  if (costs_->max_batch <= 1) {
-    // Unbatched pipeline: round-robin one entry from the first non-empty
-    // VSQ per dispatch.
-    bool more = false;
-    for (usize i = 0; i < shards_.size(); i++) {
-      Sqe sqe;
-      if (shards_[i]->vsq->Pop(&sqe)) {
-        HandleNewRequest(i, sqe);
-        // Re-arm if anything is still pending on any VSQ.
-        for (const auto& sh : shards_) {
-          if (!sh->vsq->Empty()) more = true;
-        }
-        break;
-      }
-    }
-    if (more && worker_) worker_->poller().Notify(src_vsq_);
-    return;
-  }
-  // Batched drain (DESIGN.md §10): take every published entry — up to
-  // max_batch — in one dispatch. The classifier context marshal is paid
-  // once per batch; each downstream queue gets one doorbell at flush.
+  // Drain (DESIGN.md §10): take every published entry — up to max_batch —
+  // in one dispatch. The classifier context marshal is paid once per
+  // batch; each downstream queue gets one doorbell at flush.
   u32 avail = 0;
   for (const auto& sh : shards_) avail += sh->vsq->Pending();
   if (avail == 0) return;  // a prior drain already consumed this edge
-  u32 n = std::min(avail, costs_->max_batch);
+  u32 n = std::min(avail, MaxBatch());
   if (m_batch_size_) m_batch_size_->Record(n);
   BeginBatch();
   worker_->cpu()->Charge(costs_->vsq_batch_setup_ns);
@@ -253,9 +236,8 @@ void VirtualController::PollVsq(usize /*unused*/) {
 
 void VirtualController::HandleNewRequest(usize gq_index, const Sqe& sqe,
                                          u32 batch_n) {
-  worker_->cpu()->Charge(batch_n ? PerCmdCost(costs_->vsq_pop_ns,
-                                              costs_->vsq_batch_setup_ns)
-                                 : costs_->vsq_pop_ns);
+  worker_->cpu()->Charge(
+      PerCmdCost(costs_->vsq_pop_ns, costs_->vsq_batch_setup_ns));
   RequestEntry* e = AllocEntry(gq_index);
   if (!e) {
     // Routing slab exhausted: fail the request (guest sees a busy-ish
@@ -467,20 +449,27 @@ void VirtualController::ApplyVerdict(RequestEntry* e, u64 verdict) {
   if (verdict & kSendKq) DispatchKernel(e);
 }
 
+bool VirtualController::Contained(RequestEntry* e) {
+  // Isolation: whatever the classifier did, a routed data command must
+  // stay inside this VM's partition of the backend namespace — on every
+  // leg, since the UIFs and the kernel device address it absolutely.
+  if (!e->sqe.is_io_data_cmd() && e->sqe.opcode != nvme::kCmdWriteZeroes) {
+    return true;
+  }
+  u64 first = cfg_.part_first_lba;
+  u64 limit = first + cfg_.part_nlb;
+  if (e->mediated_slba >= first && e->mediated_slba < limit &&
+      e->mediated_nlb <= limit - e->mediated_slba) {
+    return true;
+  }
+  FailRequest(e,
+              nvme::MakeStatus(nvme::kSctGeneric, nvme::kScLbaOutOfRange));
+  return false;
+}
+
 void VirtualController::DispatchFast(RequestEntry* e) {
   RouterShard& sh = *shards_[e->gq_index];
-  // Isolation: whatever the classifier did, the routed command must stay
-  // inside this VM's partition of the backend namespace.
-  if (e->sqe.is_io_data_cmd() || e->sqe.opcode == nvme::kCmdWriteZeroes) {
-    u64 first = cfg_.part_first_lba;
-    u64 limit = first + cfg_.part_nlb;
-    if (e->mediated_slba < first || e->mediated_slba >= limit ||
-        e->mediated_nlb > limit - e->mediated_slba) {
-      FailRequest(e, nvme::MakeStatus(nvme::kSctGeneric,
-                                      nvme::kScLbaOutOfRange));
-      return;
-    }
-  }
+  if (!Contained(e)) return;
   worker_->cpu()->Charge(batch_active_
                              ? PerCmdCost(costs_->fast_forward_ns,
                                           costs_->sq_doorbell_ns)
@@ -542,6 +531,7 @@ void VirtualController::DispatchNotify(RequestEntry* e) {
                                     nvme::kScInternalError));
     return;
   }
+  if (!Contained(e)) return;
   worker_->cpu()->Charge(batch_active_
                              ? PerCmdCost(costs_->notify_push_ns,
                                           costs_->notify_kick_ns)
@@ -601,14 +591,7 @@ void VirtualController::DispatchKernel(RequestEntry* e) {
   }
   worker_->cpu()->Charge(costs_->kernel_submit_ns);
   if (bio.op != kblock::Bio::Op::kFlush) {
-    u64 first = cfg_.part_first_lba;
-    u64 limit = first + cfg_.part_nlb;
-    if (e->mediated_slba < first || e->mediated_slba >= limit ||
-        e->mediated_nlb > limit - e->mediated_slba) {
-      FailRequest(e, nvme::MakeStatus(nvme::kSctGeneric,
-                                      nvme::kScLbaOutOfRange));
-      return;
-    }
+    if (!Contained(e)) return;
     bio.sector = e->mediated_slba;  // kernel device is namespace-absolute
     u64 len = static_cast<u64>(e->mediated_nlb) * kLbaSize;
     std::vector<nvme::PrpSegment> segs;
@@ -655,42 +638,11 @@ void VirtualController::DispatchKernel(RequestEntry* e) {
 
 void VirtualController::PollHcq() {
   Touch();
-  if (costs_->max_batch <= 1) {
-    bool more = false;
-    for (auto& shp : shards_) {
-      RouterShard& sh = *shp;
-      nvme::CqRing* cq = phys_->cq(sh.host_qid);
-      if (!cq) continue;
-      Cqe cqe;
-      if (cq->Peek(&cqe)) {
-        cq->Pop();
-        cq->PublishHead();
-        phys_->RingCqDoorbell(sh.host_qid);
-        worker_->cpu()->Charge(costs_->hcq_handle_ns);
-        u32 tag = sh.TakeCid(cqe.cid);
-        if (tag != kNoTag) {
-          OnTargetDone(tag, kPathH, cqe.status(), cqe.result);
-        } else {
-          OnStaleCid(sh, cqe.cid);
-        }
-        if (!cq->Empty()) more = true;
-        break;
-      }
-    }
-    if (!more) {
-      for (auto& sh : shards_) {
-        nvme::CqRing* cq = phys_->cq(sh->host_qid);
-        if (cq && !cq->Empty()) more = true;
-      }
-    }
-    if (more && worker_) worker_->poller().Notify(src_hcq_);
-    return;
-  }
-  // Batched harvest: drain up to max_batch CQEs across the host CQs,
-  // publishing each queue's head doorbell once, then flush the resulting
-  // VCQ posts with one guest interrupt per queue.
+  // Harvest up to max_batch CQEs across the host CQs, publishing each
+  // queue's head doorbell once, then flush the resulting VCQ posts with
+  // one guest interrupt per queue.
   BeginBatch();
-  u32 left = costs_->max_batch;
+  u32 left = MaxBatch();
   u32 n = 0;
   for (auto& shp : shards_) {
     RouterShard& sh = *shp;
@@ -733,19 +685,8 @@ void VirtualController::PollHcq() {
 void VirtualController::PollNcq() {
   Touch();
   if (!uif_) return;
-  if (costs_->max_batch <= 1) {
-    NotifyCompletion c;
-    if (!uif_->PopCompletion(&c)) return;
-    last_ncq_progress_ = sim_->now();
-    worker_->cpu()->Charge(costs_->ncq_handle_ns);
-    OnTargetDone(c.tag, kPathN, c.status);
-    if (uif_->PendingCompletions() > 0 && worker_) {
-      worker_->poller().Notify(src_ncq_);
-    }
-    return;
-  }
   BeginBatch();
-  u32 left = costs_->max_batch;
+  u32 left = MaxBatch();
   u32 n = 0;
   NotifyCompletion c;
   while (left && uif_->PopCompletion(&c)) {
@@ -764,20 +705,9 @@ void VirtualController::PollNcq() {
 
 void VirtualController::PollKcq() {
   Touch();
-  if (costs_->max_batch <= 1) {
-    if (kcq_mailbox_.empty()) return;
-    auto [tag, status] = kcq_mailbox_.front();
-    kcq_mailbox_.pop_front();
-    worker_->cpu()->Charge(costs_->kernel_complete_ns);
-    OnTargetDone(tag, kPathK, status);
-    if (!kcq_mailbox_.empty() && worker_) {
-      worker_->poller().Notify(src_kcq_);
-    }
-    return;
-  }
   if (kcq_mailbox_.empty()) return;
   BeginBatch();
-  u32 left = costs_->max_batch;
+  u32 left = MaxBatch();
   u32 n = 0;
   while (left && !kcq_mailbox_.empty()) {
     auto [tag, status] = kcq_mailbox_.front();
@@ -802,8 +732,8 @@ void VirtualController::BeginBatch() {
 void VirtualController::FlushBatch() {
   batch_active_ = false;
   // One tail doorbell per host SQ the batch pushed into. Ordered before
-  // the NSQ kick and the guest interrupts, matching the per-command
-  // pipeline's fast-then-notify-then-complete sequence.
+  // the NSQ kick and the guest interrupts: fast, then notify, then
+  // complete, as a command outside a batch does it.
   for (auto& sh : shards_) {
     if (!sh->batch_ring) continue;
     sh->batch_ring = false;
@@ -814,61 +744,40 @@ void VirtualController::FlushBatch() {
   if (uif_ && uif_->EndBatch()) {
     worker_->cpu()->Charge(costs_->notify_kick_ns);
   }
-  // One guest interrupt per guest queue with freshly posted CQEs —
-  // either now or merged further by the coalescing timer.
-  for (usize i = 0; i < shards_.size(); i++) {
-    RouterShard& sh = *shards_[i];
-    if (!sh.batch_irq) continue;
-    sh.batch_irq = false;
-    if (costs_->completion_coalesce_ns == 0) {
-      // The IRQ lambda owns its req-id payload (several can be in
-      // flight), so the shard's scratch is copied, not moved — moving
-      // would steal the pre-reserved capacity and every later batch
-      // would reallocate inside the poll handler.
-      std::vector<u64> payload(sh.batch_irq_reqs.begin(),
-                               sh.batch_irq_reqs.end());
-      sh.batch_irq_reqs.clear();
-      InjectGuestIrq(sh, std::move(payload));
-      continue;
-    }
-    for (u64 rid : sh.batch_irq_reqs) {
-      RouterShard::PushScratch(&sh.coalesce_reqs, rid);
-    }
-    sh.batch_irq_reqs.clear();
-    if (!sh.coalesce_armed) {
-      // The delay is anchored at the first uncovered completion, so the
-      // added latency is bounded by completion_coalesce_ns regardless of
-      // how many later batches pile on.
-      sh.coalesce_armed = true;
-      sim_->ScheduleAfter(costs_->completion_coalesce_ns, [this, i] {
-        RouterShard& q = *shards_[i];
-        q.coalesce_armed = false;
-        std::vector<u64> payload(q.coalesce_reqs.begin(),
-                                 q.coalesce_reqs.end());
-        q.coalesce_reqs.clear();
-        InjectGuestIrq(q, std::move(payload));
-      });
-    }
+  // One guest interrupt per guest queue with freshly posted CQEs.
+  for (auto& sh : shards_) {
+    if (!sh->batch_irq) continue;
+    sh->batch_irq = false;
+    worker_->cpu()->Charge(costs_->vcq_irq_ns);
+    InjectGuestIrq(*sh);
   }
 }
 
-void VirtualController::InjectGuestIrq(RouterShard& sh,
-                                       std::vector<u64> reqs) {
-  if (!sh.irq) return;
-  worker_->cpu()->Charge(costs_->vcq_irq_ns);
+void VirtualController::InjectGuestIrq(RouterShard& sh) {
+  std::vector<u64>& ids = sh.batch_irq_reqs;
+  if (ids.empty()) {
+    // Recording is off: nothing to stamp or count.
+    sim_->ScheduleAfter(costs_->irq_inject_latency_ns, sh.irq);
+    return;
+  }
+  // The entries may be freed before the posted interrupt fires, so the
+  // event owns its req ids and the flight ring pointer (stable for the
+  // controller's lifetime). The scratch is copied, not moved — moving
+  // would steal its reserved capacity — and a single-request interrupt,
+  // the common case, copies nothing to the heap.
   auto irq = sh.irq;
-  // The entries may be freed before the posted interrupt fires; capture
-  // the flight ring itself (stable for the controller's lifetime).
   obs::FlightRing* fr = sh.flight;
+  u64 first = ids.front();
+  std::vector<u64> rest(ids.begin() + 1, ids.end());
+  ids.clear();
   sim_->ScheduleAfter(
       costs_->irq_inject_latency_ns,
-      [this, irq, fr, reqs = std::move(reqs)] {
-        for (u64 rid : reqs) {
+      [this, irq, fr, first, rest = std::move(rest)] {
+        fr->Stamp(sim_->now(), first, obs::SpanKind::kIrqInject);
+        for (u64 rid : rest) {
           fr->Stamp(sim_->now(), rid, obs::SpanKind::kIrqInject);
         }
-        // Counts injected interrupts: one per batch here, one per request
-        // in the unbatched pipeline (where batch == request).
-        if (m_irq_injects_) m_irq_injects_->Inc();
+        m_irq_injects_->Inc();
         irq();
       });
 }
@@ -986,27 +895,16 @@ void VirtualController::CompleteToGuest(RequestEntry* e, NvmeStatus status) {
     }
     if (m_completed_ && !e->failed_marked) m_completed_->Inc();
   }
-  if (defer_irq) {
-    // FlushBatch signals the whole batch with one interrupt.
-    sh.batch_irq = true;
+  if (sh.irq) {
     if (obs_ && e->req_id) {
       RouterShard::PushScratch(&sh.batch_irq_reqs, e->req_id);
     }
-  } else if (sh.irq) {
-    if (e->req_id) {
-      // The entry may be freed before the posted interrupt fires; capture
-      // what the stamp needs by value.
-      u64 rid = e->req_id;
-      auto irq = sh.irq;
-      obs::FlightRing* fr = sh.flight;
-      sim_->ScheduleAfter(costs_->irq_inject_latency_ns, [this, rid, irq,
-                                                          fr] {
-        fr->Stamp(sim_->now(), rid, obs::SpanKind::kIrqInject);
-        if (m_irq_injects_) m_irq_injects_->Inc();
-        irq();
-      });
+    // In a batch, FlushBatch signals the whole batch with one interrupt;
+    // outside one (timer contexts) the interrupt goes out now.
+    if (defer_irq) {
+      sh.batch_irq = true;
     } else {
-      sim_->ScheduleAfter(costs_->irq_inject_latency_ns, sh.irq);
+      InjectGuestIrq(sh);
     }
   }
   MaybeFree(e);

@@ -16,6 +16,7 @@
 //    fly, attach UIF channels and kernel-path devices.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -102,25 +103,20 @@ struct RouterCosts {
   bool uif_failover_to_kernel = false;
   /// --- Batched pipeline (DESIGN.md §10) --------------------------------
   /// Commands drained per poller dispatch on each edge (VSQ submissions
-  /// and HCQ/NCQ/KCQ completions). 1 = the classic one-command-per-
-  /// dispatch pipeline; raising it amortizes the per-batch costs below
-  /// over every command that shares a doorbell edge.
+  /// and HCQ/NCQ/KCQ completions). 1 = one command per dispatch (0 reads
+  /// as 1); raising it amortizes the per-batch costs below over every
+  /// command that shares a doorbell edge.
   u32 max_batch = 1;
   /// Per-batch splits of the per-command costs above. Each knob names
   /// the portion of its parent cost that is really a per-batch expense
   /// (classifier context marshal, doorbell MMIO, interrupt injection);
   /// the remainder stays per command, so a batch of one command charges
-  /// exactly the unbatched figure.
+  /// exactly the parent figure.
   SimTime vsq_batch_setup_ns = 80;  // of vsq_pop_ns: classifier ctx setup
   SimTime sq_doorbell_ns = 60;      // of fast_forward_ns: HSQ tail MMIO
   SimTime cq_doorbell_ns = 50;      // of hcq_handle_ns: HCQ head MMIO
   SimTime notify_kick_ns = 60;      // of notify_push_ns: NSQ event kick
   SimTime vcq_irq_ns = 90;          // of vcq_post_ns: guest IRQ injection
-  /// Completion coalescing: after a harvest batch posts its VCQ entries,
-  /// hold the guest interrupt up to this long so later completions can
-  /// share it. 0 = inject at the end of every batch, which leaves QD1
-  /// latency untouched.
-  SimTime completion_coalesce_ns = 0;
   /// --- Multi-tenant QoS (DESIGN.md §12) --------------------------------
   /// CPU per admission decision (token-bucket check). Charged only when
   /// a QosScheduler is attached, so QoS-off runs are bit-identical to
@@ -242,9 +238,6 @@ class VirtualController : public virt::VirtualNvmeBackend {
   usize shard_irq_scratch_capacity(u32 i) const {
     return shards_[i]->batch_irq_reqs.capacity();
   }
-  usize shard_coalesce_scratch_capacity(u32 i) const {
-    return shards_[i]->coalesce_reqs.capacity();
-  }
   /// Late host CQEs dropped by the cid generation check (all shards).
   u64 stale_cid_drops() const {
     return SumStat(&ShardStats::stale_cid_drops);
@@ -266,11 +259,9 @@ class VirtualController : public virt::VirtualNvmeBackend {
   void PollHcq();
   void PollNcq();
   void PollKcq();
-  /// `batch_n` is the size of the drain batch this command arrived in
-  /// (0 = unbatched pipeline): it selects the per-command cost remainder
-  /// and stamps the BATCH span when the batch holds more than one.
-  void HandleNewRequest(usize gq_index, const nvme::Sqe& sqe,
-                        u32 batch_n = 0);
+  /// `batch_n` is the size of the drain batch this command arrived in;
+  /// the BATCH span is stamped when it holds more than one.
+  void HandleNewRequest(usize gq_index, const nvme::Sqe& sqe, u32 batch_n);
   /// Classification + dispatch of an admitted entry — the tail of
   /// HandleNewRequest, split out so QoS-deferred commands resume here.
   void StartRequest(RequestEntry* e);
@@ -294,18 +285,26 @@ class VirtualController : public virt::VirtualNvmeBackend {
   /// until the scheduler defers again (re-arming at its retry_at) or the
   /// FIFO drains.
   void QosResume(u32 shard_index);
-  // Batched pipeline (DESIGN.md §10). While a batch is open, dispatches
-  // push without ringing and completions defer their guest interrupt;
-  // FlushBatch rings each dirty HSQ doorbell once, kicks the NSQ once
-  // and injects (or coalesces) one interrupt per guest queue.
+  // Batched pipeline (DESIGN.md §10). Every poll dispatch drains a batch:
+  // while it is open, dispatches push without ringing and completions
+  // defer their guest interrupt; FlushBatch rings each dirty HSQ doorbell
+  // once, kicks the NSQ once and injects one interrupt per guest queue.
+  // Timer contexts (retries, deadlines, QoS resume) run outside a batch.
   void BeginBatch();
   void FlushBatch();
-  /// Schedules one guest interrupt for `sh`'s queue, stamping kIrqInject
-  /// for every covered request when tracing is on.
-  void InjectGuestIrq(RouterShard& sh, std::vector<u64> reqs);
+  /// Commands one dispatch may drain (max_batch, at least one).
+  u32 MaxBatch() const { return std::max<u32>(1, costs_->max_batch); }
+  /// Schedules one guest interrupt for `sh`'s queue (which has a
+  /// handler). It covers the req ids in the shard's scratch, stamping
+  /// kIrqInject for each and counting the injection when it fires.
+  void InjectGuestIrq(RouterShard& sh);
   void RunClassifierAndApply(RequestEntry* e, Hook hook,
                              nvme::NvmeStatus error);
   void ApplyVerdict(RequestEntry* e, u64 verdict);
+  /// Partition check run by every leg before it sends: fails `e` with
+  /// LBA Out of Range and returns false when its mediated range leaves
+  /// this VM's partition.
+  bool Contained(RequestEntry* e);
   void DispatchFast(RequestEntry* e);
   void DispatchNotify(RequestEntry* e);
   void DispatchKernel(RequestEntry* e);
@@ -413,8 +412,8 @@ class VirtualController : public virt::VirtualNvmeBackend {
   LatencyHistogram* m_latency_ = nullptr;       // all guest completions
   LatencyHistogram* m_path_latency_[3] = {};    // single-path requests only
   // "router.batch_size": drain sizes per dispatch. Registered only when
-  // max_batch > 1 so an unbatched run's metric export stays bit-identical
-  // to the pre-batch pipeline.
+  // max_batch > 1: batches of one would only ever record 1, so metric
+  // exports of max_batch = 1 runs carry no such histogram.
   LatencyHistogram* m_batch_size_ = nullptr;
   // "router.resubmits" / "router.chain_depth": registered lazily on the
   // first accepted resubmission so chain-free runs keep their metric

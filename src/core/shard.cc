@@ -52,11 +52,10 @@ u32 RouterShard::TakeCid(u16 cid) {
 }
 
 void RouterShard::ReserveScratch(usize entries) {
-  for (std::vector<u64>* v : {&batch_irq_reqs, &coalesce_reqs}) {
-    if (v->capacity() >= entries) continue;
-    mem::HotPathAllocs::Note((entries - v->capacity()) * sizeof(u64));
-    v->reserve(entries);
-  }
+  if (batch_irq_reqs.capacity() >= entries) return;
+  mem::HotPathAllocs::Note((entries - batch_irq_reqs.capacity()) *
+                           sizeof(u64));
+  batch_irq_reqs.reserve(entries);
 }
 
 void RouterShard::PushScratch(std::vector<u64>* v, u64 x) {

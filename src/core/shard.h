@@ -1,5 +1,5 @@
 // Per-queue router shard (DESIGN.md §14): the routing-entry slab, the
-// generation-checked host-cid table, the batch/coalesce scratch, the QoS
+// generation-checked host-cid table, the batch scratch, the QoS
 // deferral ring and per-shard stats of one guest queue pair.
 #pragma once
 
@@ -134,8 +134,8 @@ class RouterShard {
   u32 cid_capacity() const { return cids_.capacity(); }
 
   // --- Scratch ---------------------------------------------------------------
-  /// Reserves the batch/coalesce scratch to `entries` req ids (the VCQ
-  /// depth bounds how many completions one interrupt can cover).
+  /// Reserves the batch scratch to `entries` req ids (the VCQ depth
+  /// bounds how many completions one interrupt can cover).
   void ReserveScratch(usize entries);
   /// push_back that reports a reallocation to mem::HotPathAllocs.
   static void PushScratch(std::vector<u64>* v, u64 x);
@@ -152,9 +152,6 @@ class RouterShard {
   bool batch_ring = false;          // HSQ pushes awaiting one doorbell
   bool batch_irq = false;           // VCQ posts awaiting one interrupt
   std::vector<u64> batch_irq_reqs;  // req_ids the pending IRQ covers
-  // Completion coalescing: interrupts deferred past the batch edge.
-  bool coalesce_armed = false;
-  std::vector<u64> coalesce_reqs;
 
   // QoS deferral ring (DESIGN.md §12) and its resume timer.
   std::vector<Waiter> qos_ring;

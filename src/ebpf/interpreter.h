@@ -12,9 +12,9 @@
 // A verified program never trips these checks; an unverified one cannot
 // corrupt the host.
 //
-// This is the legacy decode-per-step engine, kept as the ablation
-// baseline for the pre-decoded VM in ebpf/vm.h (bench/pushdown_lookup
-// --micro compares the two; their verdict streams are bit-identical).
+// This is the legacy decode-per-step engine, kept as the test oracle
+// for the pre-decoded VM in ebpf/vm.h, which the router runs: the
+// conformance and pushdown suites require bit-identical verdict streams.
 #pragma once
 
 #include <vector>

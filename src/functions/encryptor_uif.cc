@@ -11,17 +11,17 @@ using crypto::kXtsSectorSize;
 // --- EncryptorUif --------------------------------------------------------------
 
 Result<std::unique_ptr<EncryptorUif>> EncryptorUif::Create(
-    sim::Simulator* sim, kblock::BlockDevice* disk, const u8* xts_key,
-    usize key_len, EncryptorParams params) {
+    kblock::BlockDevice* disk, const u8* xts_key, usize key_len,
+    EncryptorParams params) {
   auto cipher = crypto::XtsCipher::Create(xts_key, key_len);
   if (!cipher.ok()) return cipher.status();
   return std::unique_ptr<EncryptorUif>(
-      new EncryptorUif(sim, disk, std::move(*cipher), params));
+      new EncryptorUif(disk, std::move(*cipher), params));
 }
 
 uif::Uring* EncryptorUif::EnsureUring() {
   if (!uring_) {
-    uring_ = std::make_unique<uif::Uring>(sim_, disk_,
+    uring_ = std::make_unique<uif::Uring>(disk_,
                                           function()->host()->poll_cpu());
   }
   return uring_.get();
@@ -67,7 +67,7 @@ bool EncryptorUif::work(const nvme::Sqe& cmd, u32 tag, u16& status) {
       }
       // Encrypt plaintext from the guest into a temporary buffer
       // (Listing 2 do_write_async), then write ciphertext with io_uring.
-      auto ticket = std::make_unique<uif::IovecTicket>();
+      auto ticket = std::make_shared<uif::IovecTicket>();
       ticket->tag = tag;
       auto buf = std::make_shared<std::vector<u8>>(data.nbytes());
       u64 part = function()->part_first_lba();
@@ -94,9 +94,7 @@ bool EncryptorUif::work(const nvme::Sqe& cmd, u32 tag, u16& status) {
       uif::Uring* ring = EnsureUring();
       function()->host()->Async(
           CryptoCost(data.nbytes()),
-          [ring, t = ticket.release(), sector]() mutable {
-            ring->QueueWritev(std::unique_ptr<uif::IovecTicket>(t), sector);
-          });
+          [ring, ticket, sector] { ring->QueueWritev(ticket, sector); });
       return true;
     }
     default:
@@ -150,7 +148,7 @@ bool SgxEncryptorUif::TouchSwitchlessWorker() {
 
 uif::Uring* SgxEncryptorUif::EnsureUring() {
   if (!uring_) {
-    uring_ = std::make_unique<uif::Uring>(sim_, disk_,
+    uring_ = std::make_unique<uif::Uring>(disk_,
                                           function()->host()->poll_cpu());
   }
   return uring_.get();
@@ -208,7 +206,7 @@ bool SgxEncryptorUif::work(const nvme::Sqe& cmd, u32 tag, u16& status) {
                                   nvme::kScDataTransferError);
         return false;
       }
-      auto ticket = std::make_unique<uif::IovecTicket>();
+      auto ticket = std::make_shared<uif::IovecTicket>();
       ticket->tag = tag;
       auto buf = std::make_shared<std::vector<u8>>(data.nbytes());
       u64 part = function()->part_first_lba();
@@ -236,8 +234,8 @@ bool SgxEncryptorUif::work(const nvme::Sqe& cmd, u32 tag, u16& status) {
       };
       u64 sector = data.disk_addr();
       uif::Uring* ring = EnsureUring();
-      auto submit = [ring, t = ticket.release(), sector]() mutable {
-        ring->QueueWritev(std::unique_ptr<uif::IovecTicket>(t), sector);
+      auto submit = [ring, ticket, sector] {
+        ring->QueueWritev(ticket, sector);
       };
       if (sl) {
         function()->host()->PickWorker()->Charge(params_.per_req_ns +

@@ -37,8 +37,8 @@ class EncryptorUif : public uif::UifBase {
   /// `disk` is the backend-namespace block device ciphertext is written
   /// to (namespace-absolute sectors). The XTS key is 32 or 64 bytes.
   static Result<std::unique_ptr<EncryptorUif>> Create(
-      sim::Simulator* sim, kblock::BlockDevice* disk, const u8* xts_key,
-      usize key_len, EncryptorParams params = EncryptorParams());
+      kblock::BlockDevice* disk, const u8* xts_key, usize key_len,
+      EncryptorParams params = EncryptorParams());
 
   bool work(const nvme::Sqe& cmd, u32 tag, u16& status) override;
 
@@ -46,10 +46,9 @@ class EncryptorUif : public uif::UifBase {
   u64 writes_encrypted() const { return writes_; }
 
  private:
-  EncryptorUif(sim::Simulator* sim, kblock::BlockDevice* disk,
-               crypto::XtsCipher cipher, EncryptorParams params)
-      : sim_(sim), disk_(disk), cipher_(std::move(cipher)),
-        params_(params) {}
+  EncryptorUif(kblock::BlockDevice* disk, crypto::XtsCipher cipher,
+               EncryptorParams params)
+      : disk_(disk), cipher_(std::move(cipher)), params_(params) {}
 
   uif::Uring* EnsureUring();
   SimTime CryptoCost(u64 bytes) const {
@@ -58,7 +57,6 @@ class EncryptorUif : public uif::UifBase {
                                 params_.aes_ns_per_byte);
   }
 
-  sim::Simulator* sim_;
   kblock::BlockDevice* disk_;
   crypto::XtsCipher cipher_;
   EncryptorParams params_;

@@ -7,14 +7,13 @@
 
 namespace nvmetro::functions {
 
-ReplicatorUif::ReplicatorUif(sim::Simulator* sim,
-                             kblock::BlockDevice* secondary,
+ReplicatorUif::ReplicatorUif(kblock::BlockDevice* secondary,
                              ReplicatorParams params)
-    : sim_(sim), secondary_(secondary), params_(params) {}
+    : secondary_(secondary), params_(params) {}
 
 uif::Uring* ReplicatorUif::EnsureUring() {
   if (!uring_) {
-    uring_ = std::make_unique<uif::Uring>(sim_, secondary_,
+    uring_ = std::make_unique<uif::Uring>(secondary_,
                                           function()->host()->poll_cpu());
   }
   return uring_.get();
@@ -143,7 +142,7 @@ bool ReplicatorUif::work(const nvme::Sqe& cmd, u32 tag, u16& status) {
         return false;
       }
       // Zero-copy: forward the guest's own pages to the secondary.
-      auto ticket = std::make_unique<uif::IovecTicket>();
+      auto ticket = std::make_shared<uif::IovecTicket>();
       ticket->tag = tag;
       mem::GuestMemory* gm = data.guest_memory();
       for (const auto& seg : data.segments()) {
@@ -163,11 +162,6 @@ bool ReplicatorUif::work(const nvme::Sqe& cmd, u32 tag, u16& status) {
         }
         writes_failed_++;
         if (m_writes_failed_) m_writes_failed_->Inc();
-        if (!params_.degraded_mode) {
-          fn->Respond(tag, nvme::MakeStatus(nvme::kSctMediaError,
-                                            nvme::kScWriteFault));
-          return;
-        }
         // Degrade: the primary leg already has the data; remember the
         // range and ack so the guest keeps running on one replica.
         EnterDegraded();
@@ -187,14 +181,11 @@ bool ReplicatorUif::work(const nvme::Sqe& cmd, u32 tag, u16& status) {
         return false;
       }
       // Propagate flushes to the secondary for durability parity.
+      // A failed secondary flush degrades the mirror like a failed
+      // write; the guest's flush succeeds on the primary.
       EnsureUring()->QueueFsync([this, fn = function(), tag](Status st) {
-        if (st.ok() || params_.degraded_mode) {
-          if (!st.ok()) EnterDegraded();
-          fn->Respond(tag, nvme::kStatusSuccess);
-        } else {
-          fn->Respond(tag, nvme::MakeStatus(nvme::kSctMediaError,
-                                            nvme::kScWriteFault));
-        }
+        if (!st.ok()) EnterDegraded();
+        fn->Respond(tag, nvme::kStatusSuccess);
       });
       return true;
     default:

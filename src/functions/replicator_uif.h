@@ -8,11 +8,11 @@
 // until both legs finish).
 //
 // Degraded replication (DESIGN.md §9): when the secondary leg fails
-// (replica outage, NVMe-oF link drop) and `degraded_mode` is on, the UIF
-// stops failing guest writes — it acks them from the primary leg alone
-// and logs the written ranges in a merged dirty-region map. When the link
-// heals (OnLinkChange(false)), it resyncs the dirty ranges chunk by chunk
-// from the attached primary device and leaves degraded mode once the log
+// (replica outage, NVMe-oF link drop), the UIF does not fail guest
+// writes — it acks them from the primary leg alone and logs the written
+// ranges in a merged dirty-region map. When the link heals
+// (OnLinkChange(false)), it resyncs the dirty ranges chunk by chunk from
+// the attached primary device and leaves degraded mode once the log
 // drains. A resync-chunk failure re-marks the chunk and waits for the
 // next heal.
 #pragma once
@@ -33,10 +33,6 @@ namespace nvmetro::functions {
 struct ReplicatorParams {
   /// Per-request bookkeeping cost on the UIF thread.
   SimTime per_req_ns = 400;
-  /// Secondary-leg failures degrade the mirror (dirty log + resync)
-  /// instead of failing guest writes. A healthy secondary never takes
-  /// these branches, so this default changes nothing in fault-free runs.
-  bool degraded_mode = true;
   /// Resync copy granularity (128 sectors = 64 KiB).
   u64 resync_chunk_sectors = 128;
   /// UIF CPU charged per resync chunk (claim + submit bookkeeping).
@@ -48,8 +44,8 @@ class ReplicatorUif : public uif::UifBase {
   /// `secondary` is the remote mirror leg (typically a
   /// kblock::RemoteBlockDevice). Sectors on the secondary are
   /// guest-relative (the mirror is an image of the VM's disk).
-  ReplicatorUif(sim::Simulator* sim, kblock::BlockDevice* secondary,
-                ReplicatorParams params = ReplicatorParams());
+  explicit ReplicatorUif(kblock::BlockDevice* secondary,
+                         ReplicatorParams params = ReplicatorParams());
 
   /// Resync source: the primary disk, namespace-absolute sectors (the
   /// same device the router's kernel path uses). Without it a degraded
@@ -85,7 +81,6 @@ class ReplicatorUif : public uif::UifBase {
   /// next heal). Event-driven: never self-probes on a timer.
   void PumpResync();
 
-  sim::Simulator* sim_;
   kblock::BlockDevice* secondary_;
   kblock::BlockDevice* primary_ = nullptr;
   ReplicatorParams params_;

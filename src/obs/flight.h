@@ -208,7 +208,7 @@ struct FlightDump {
 struct FlightTriggersConfig {
   /// Directory for dump files; "" keeps dumps in memory only (the
   /// serialized text stays retrievable via dumps()).
-  std::string dump_dir;
+  std::string dump_dir{};
   /// File name prefix: <dir>/<prefix>-<seq>-<reason>.flight
   std::string dump_prefix = "flight";
   /// Minimum sim-time spacing between anomaly dumps (manual requests

@@ -42,6 +42,7 @@ bool Simulator::Step() {
 SimTime Simulator::Run() {
   while (Step()) {
   }
+  if (horizon_ > now_) now_ = horizon_;
   return now_;
 }
 

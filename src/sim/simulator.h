@@ -54,7 +54,8 @@ class Simulator {
   /// cancelled or invalid event is a no-op (stale EventIds are safe).
   void Cancel(EventId id);
 
-  /// Runs events until the queue is empty. Returns the final time.
+  /// Runs events until the queue is empty, then advances now() to the
+  /// horizon if it lies beyond. Returns the final time.
   SimTime Run();
 
   /// Runs events with time <= t, then sets now() = t.
@@ -65,6 +66,12 @@ class Simulator {
 
   /// Executes the single next event, if any. Returns false when idle.
   bool Step();
+
+  /// Records that accounted work runs until `t` (VCpu::Charge). Run()
+  /// does not end before the latest such time; RunUntil() ignores it.
+  void ExtendHorizon(SimTime t) {
+    if (t > horizon_) horizon_ = t;
+  }
 
   /// Number of pending (non-cancelled) events.
   usize pending() const { return live_.size(); }
@@ -95,6 +102,7 @@ class Simulator {
   };
 
   SimTime now_ = 0;
+  SimTime horizon_ = 0;
   u64 next_seq_ = 1;
   u64 executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;

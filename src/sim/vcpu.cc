@@ -1,7 +1,5 @@
 #include "sim/vcpu.h"
 
-#include <algorithm>
-
 namespace nvmetro::sim {
 
 VCpu::VCpu(Simulator* sim, std::string name)
@@ -10,14 +8,7 @@ VCpu::VCpu(Simulator* sim, std::string name)
 }
 
 void VCpu::Run(SimTime cost, Callback fn) {
-  SimTime start = std::max(sim_->now(), free_at_);
-  free_at_ = start + cost;
-  if (!polling_) {
-    work_ns_ += cost;
-  }
-  // If the work starts inside a polling window its cost is already covered
-  // by the window's wall time; if the window closes before the work runs
-  // the small overlap is accepted (polling windows close only when idle).
+  Charge(cost);
   sim_->ScheduleAt(free_at_, std::move(fn));
 }
 

@@ -13,6 +13,7 @@
 // discusses for MDev/NVMetro/SPDK).
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <string>
 
@@ -33,9 +34,18 @@ class VCpu {
   /// the work completes. Items run FIFO; if the CPU is busy the item waits.
   void Run(SimTime cost, Callback fn);
 
-  /// Like Run but with no completion callback (pure cost accounting).
+  /// Accounts `cost` ns of CPU exactly as Run does, without an event:
+  /// nothing waits on the charge, so the only trace it leaves is the
+  /// simulator horizon, which keeps Simulator::Run() ending where the
+  /// work ends.
   void Charge(SimTime cost) {
-    Run(cost, [] {});
+    SimTime start = std::max(sim_->now(), free_at_);
+    free_at_ = start + cost;
+    // Work that starts inside a polling window is already covered by the
+    // window's wall time; if the window closes before the work runs the
+    // small overlap is accepted (polling windows close only when idle).
+    if (!polling_) work_ns_ += cost;
+    sim_->ExtendHorizon(free_at_);
   }
 
   /// Marks this CPU as busy-polling (or not). While polling, wall time

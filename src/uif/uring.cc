@@ -2,43 +2,14 @@
 
 namespace nvmetro::uif {
 
-Uring::Uring(sim::Simulator* sim, kblock::BlockDevice* dev, sim::VCpu* cpu,
-             UringParams params)
-    : sim_(sim), dev_(dev), cpu_(cpu), params_(params) {}
+Uring::Uring(kblock::BlockDevice* dev, sim::VCpu* cpu, UringParams params)
+    : dev_(dev), cpu_(cpu), params_(params) {}
 
-void Uring::Stage(std::function<void()> issue) {
-  staged_.push_back(std::move(issue));
-  if (staged_.size() >= params_.submit_batch) {
-    Flush();
-    return;
-  }
-  if (!flush_scheduled_) {
-    // End-of-event auto-flush: every op queued at the same simulated
-    // instant shares one io_uring_enter, and nothing can stay staged
-    // forever if the caller never flushes explicitly.
-    flush_scheduled_ = true;
-    sim_->ScheduleAfter(0, [this] {
-      flush_scheduled_ = false;
-      Flush();
-    });
-  }
-}
-
-void Uring::Flush() {
-  if (staged_.empty()) return;
-  enters_++;
-  auto batch = std::move(staged_);
-  staged_.clear();
-  cpu_->Run(params_.enter_cpu_ns, [batch = std::move(batch)] {
-    for (const auto& issue : batch) issue();
-  });
-}
-
-void Uring::Queue(std::unique_ptr<IovecTicket> ticket, u64 sector,
-                  bool write) {
+void Uring::Queue(std::shared_ptr<IovecTicket> t, u64 sector, bool write) {
   submitted_++;
-  auto* t = ticket.release();
-  auto issue = [this, t, sector, write] {
+  // The submit event and then the bio's completion share the ticket, so
+  // whichever is still pending when a run ends frees it with its closure.
+  cpu_->Run(params_.submit_cpu_ns, [this, t, sector, write] {
     kblock::Bio bio;
     bio.op = write ? kblock::Bio::Op::kWrite : kblock::Bio::Op::kRead;
     bio.sector = sector;
@@ -49,35 +20,24 @@ void Uring::Queue(std::unique_ptr<IovecTicket> ticket, u64 sector,
     bio.on_complete = [this, t](Status st) {
       cpu_->Run(params_.complete_cpu_ns, [this, t, st] {
         completed_++;
-        std::unique_ptr<IovecTicket> owner(t);
-        if (owner->done) owner->done(st);
+        if (t->done) t->done(st);
       });
     };
     dev_->Submit(std::move(bio));
-  };
-  if (params_.submit_batch <= 1) {
-    cpu_->Run(params_.submit_cpu_ns, std::move(issue));
-    return;
-  }
-  // Batched: pay the per-SQE prep now, the enter cost once per flush —
-  // calibrated so a flushed batch of one costs exactly submit_cpu_ns.
-  cpu_->Charge(params_.submit_cpu_ns > params_.enter_cpu_ns
-                   ? params_.submit_cpu_ns - params_.enter_cpu_ns
-                   : 0);
-  Stage(std::move(issue));
+  });
 }
 
-void Uring::QueueWritev(std::unique_ptr<IovecTicket> ticket, u64 sector) {
+void Uring::QueueWritev(std::shared_ptr<IovecTicket> ticket, u64 sector) {
   Queue(std::move(ticket), sector, /*write=*/true);
 }
 
-void Uring::QueueReadv(std::unique_ptr<IovecTicket> ticket, u64 sector) {
+void Uring::QueueReadv(std::shared_ptr<IovecTicket> ticket, u64 sector) {
   Queue(std::move(ticket), sector, /*write=*/false);
 }
 
 void Uring::QueueFsync(std::function<void(Status)> done) {
   submitted_++;
-  auto issue = [this, done = std::move(done)] {
+  cpu_->Run(params_.submit_cpu_ns, [this, done = std::move(done)] {
     kblock::Bio bio = kblock::Bio::Flush([this, done](Status st) {
       cpu_->Run(params_.complete_cpu_ns, [this, done, st] {
         completed_++;
@@ -85,15 +45,7 @@ void Uring::QueueFsync(std::function<void(Status)> done) {
       });
     });
     dev_->Submit(std::move(bio));
-  };
-  if (params_.submit_batch <= 1) {
-    cpu_->Run(params_.submit_cpu_ns, std::move(issue));
-    return;
-  }
-  cpu_->Charge(params_.submit_cpu_ns > params_.enter_cpu_ns
-                   ? params_.submit_cpu_ns - params_.enter_cpu_ns
-                   : 0);
-  Stage(std::move(issue));
+  });
 }
 
 }  // namespace nvmetro::uif

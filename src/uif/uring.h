@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "kblock/bio.h"
-#include "sim/simulator.h"
 #include "sim/vcpu.h"
 
 namespace nvmetro::uif {
@@ -32,60 +31,36 @@ struct UringParams {
   SimTime submit_cpu_ns = 600;
   /// CPU to reap one CQE.
   SimTime complete_cpu_ns = 350;
-  /// Batched submission (DESIGN.md §10): with submit_batch > 1, Queue*()
-  /// stages SQEs and they are issued by one io_uring_enter per batch —
-  /// either when the batch fills, at an explicit Flush(), or at the
-  /// automatic end-of-event flush. 0/1 = legacy per-op submission.
-  u32 submit_batch = 1;
-  /// The io_uring_enter part of submit_cpu_ns, charged once per flushed
-  /// batch; each staged op pays submit_cpu_ns - enter_cpu_ns of SQE prep,
-  /// so a batch of one costs exactly submit_cpu_ns.
-  SimTime enter_cpu_ns = 250;
 };
 
 class Uring {
  public:
   /// I/O lands on `dev` (typically the host NVMe block device for the
   /// backend namespace); CPU costs are charged to `cpu` (the UIF thread).
-  Uring(sim::Simulator* sim, kblock::BlockDevice* dev, sim::VCpu* cpu,
-        UringParams params = {});
+  Uring(kblock::BlockDevice* dev, sim::VCpu* cpu, UringParams params = {});
 
-  /// Writes the ticket's iovecs at `sector`; takes ownership.
-  void QueueWritev(std::unique_ptr<IovecTicket> ticket, u64 sector);
+  /// Writes the ticket's iovecs at `sector`. The ring holds the ticket
+  /// until its completion runs; a run that ends first frees it with the
+  /// pending event.
+  void QueueWritev(std::shared_ptr<IovecTicket> ticket, u64 sector);
 
   /// Reads into the ticket's iovecs from `sector`.
-  void QueueReadv(std::unique_ptr<IovecTicket> ticket, u64 sector);
+  void QueueReadv(std::shared_ptr<IovecTicket> ticket, u64 sector);
 
   /// Issues a flush.
   void QueueFsync(std::function<void(Status)> done);
 
-  /// Issues every staged SQE with one io_uring_enter. No-op when nothing
-  /// is staged or batching is off. Ops also auto-flush when the batch
-  /// fills and at the end of the current simulation event, so callers
-  /// never have to flush for correctness — only for latency control.
-  void Flush();
-
   u64 submitted() const { return submitted_; }
   u64 completed() const { return completed_; }
-  /// SQEs staged but not yet entered (0 when batching is off).
-  usize staged() const { return staged_.size(); }
-  /// io_uring_enter calls performed for batched submissions.
-  u64 enters() const { return enters_; }
 
  private:
-  void Queue(std::unique_ptr<IovecTicket> ticket, u64 sector, bool write);
-  /// Stages an issue closure; schedules the end-of-event auto-flush.
-  void Stage(std::function<void()> issue);
+  void Queue(std::shared_ptr<IovecTicket> t, u64 sector, bool write);
 
-  sim::Simulator* sim_;
   kblock::BlockDevice* dev_;
   sim::VCpu* cpu_;
   UringParams params_;
   u64 submitted_ = 0;
   u64 completed_ = 0;
-  u64 enters_ = 0;
-  std::vector<std::function<void()>> staged_;
-  bool flush_scheduled_ = false;
 };
 
 }  // namespace nvmetro::uif

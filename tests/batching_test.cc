@@ -1,18 +1,17 @@
 // Batching equivalence suite (DESIGN.md §10).
 //
-// The batched submission/completion pipeline must be invisible when off:
-// with max_batch == 1 every simulated nanosecond, counter and trace span
-// is bit-identical to the pre-batch pipeline (the golden traces in
-// obs_test.cc pin that side). These tests pin the other side:
-//  - max_batch > 1 at QD1 degenerates to size-1 batches whose cost
-//    splits sum back to the legacy figures — timing must stay identical;
+// Every poll dispatch drains a batch; max_batch == 1 makes each batch
+// one command, whose simulated nanoseconds, counters and trace spans the
+// golden traces in obs_test.cc and the figure goldens pin. These tests
+// pin the rest:
+//  - at QD1 every max_batch (0 reads as 1) gives size-1 batches whose
+//    cost splits sum back to the parent figures — timing is identical;
 //  - under queue depth, batches form, doorbells/interrupts coalesce, and
 //    the per-path accounting invariant sends == completions + aborts +
 //    timeouts holds, with and without injected faults.
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,12 +20,10 @@
 #include "ebpf/assembler.h"
 #include "core/router.h"
 #include "functions/classifiers.h"
-#include "kblock/devices.h"
 #include "mem/address_space.h"
 #include "obs/obs.h"
 #include "ssd/controller.h"
 #include "uif/framework.h"
-#include "uif/uring.h"
 #include "virt/guest_nvme.h"
 #include "virt/vm.h"
 
@@ -41,11 +38,10 @@ struct RunResult {
   u64 total_cpu_ns = 0;
   int completed = 0;
   int failed = 0;
-  /// Per-shard IRQ / coalesce scratch capacities sampled right after
-  /// queue setup and again after the run drains — the pre-reserve
-  /// contract says they never move once the queues exist.
+  /// Per-shard IRQ scratch capacities sampled right after queue setup
+  /// and again after the run drains — the pre-reserve contract says they
+  /// never move once the queues exist.
   std::vector<usize> irq_caps_setup, irq_caps_end;
-  std::vector<usize> coalesce_caps_setup, coalesce_caps_end;
 };
 
 struct RunConfig {
@@ -108,13 +104,12 @@ RunResult RunBatchStack(const RunConfig& rc) {
   }
 
   RunResult r;
-  auto snap_caps = [&](std::vector<usize>* irq, std::vector<usize>* coal) {
+  auto snap_caps = [&](std::vector<usize>* irq) {
     for (u32 s = 0; s < vc->num_shards(); s++) {
       irq->push_back(vc->shard_irq_scratch_capacity(s));
-      coal->push_back(vc->shard_coalesce_scratch_capacity(s));
     }
   };
-  snap_caps(&r.irq_caps_setup, &r.coalesce_caps_setup);
+  snap_caps(&r.irq_caps_setup);
   u64 buf = *vm.memory().AllocPages(1);
   int issued = 0;
   std::function<void(u16)> issue = [&](u16 q) {
@@ -134,7 +129,7 @@ RunResult RunBatchStack(const RunConfig& rc) {
   }
   sim.Run();
 
-  snap_caps(&r.irq_caps_end, &r.coalesce_caps_end);
+  snap_caps(&r.irq_caps_end);
   r.end_time = sim.now();
   r.router_busy_ns = host.worker(0)->busy_ns();
   r.total_cpu_ns = sim.TotalCpuBusyNs();
@@ -157,10 +152,11 @@ void CheckPathBalance(const obs::MetricsRegistry& m) {
 TEST(BatchingEquivalenceTest, Qd1TimingBitIdenticalAcrossBatchSizes) {
   // At queue depth 1 every batch has exactly one command: the split costs
   // (setup + per-command remainder, doorbell part deferred to flush) must
-  // sum back to the legacy figures with not one nanosecond of drift.
+  // sum back to the parent figures with not one nanosecond of drift.
+  // max_batch = 0 is clamped to one command per dispatch.
   RunConfig base;
   RunResult unbatched = RunBatchStack(base);
-  for (u32 mb : {4u, 32u}) {
+  for (u32 mb : {0u, 4u, 32u}) {
     RunConfig rc;
     rc.costs.max_batch = mb;
     RunResult batched = RunBatchStack(rc);
@@ -277,60 +273,35 @@ TEST(BatchingEquivalenceTest, Qd8BatchingFasterWhenRouterBound) {
             0.9 * static_cast<double>(unbatched.end_time));
 }
 
-TEST(BatchingEquivalenceTest, CoalescingDelayMergesInterrupts) {
-  obs::Observability plain_obs, coal_obs;
-  RunConfig plain;
-  plain.costs.max_batch = 32;
-  plain.depth = 8;
-  plain.total = 400;
-  plain.obs = &plain_obs;
-  RunResult base = RunBatchStack(plain);
-
-  RunConfig coal = plain;
-  coal.costs.completion_coalesce_ns = 20 * kUs;
-  coal.obs = &coal_obs;
-  RunResult merged = RunBatchStack(coal);
-
-  EXPECT_EQ(merged.completed, 400);
-  EXPECT_EQ(coal_obs.trace().open_requests(), 0u);
-  CheckPathBalance(coal_obs.metrics());
-  // Holding completions for up to 20us lets more of them share one
-  // interrupt than flush-time batching alone.
-  EXPECT_LT(coal_obs.metrics().CounterValue("router.irq.injects"),
-            plain_obs.metrics().CounterValue("router.irq.injects"));
-  // The delay is bounded: the run ends at most one coalesce window after
-  // the undelayed run.
-  EXPECT_LE(merged.end_time, base.end_time + 400 * 20 * kUs);
-  EXPECT_GE(merged.end_time, base.end_time);
-}
-
-TEST(BatchingEquivalenceTest, ScratchCapacityStableUnderCoalescedBursts) {
-  // The IRQ and coalesce scratch vectors are reserved once at queue
-  // setup (to the virtual CQ depth, which bounds any batch) and must
-  // never reallocate afterwards — the zero-alloc steady-state contract.
-  // Drive the worst case for both: four queues, deep batches, and a
-  // coalesce window that parks completions in the scratch between
-  // flushes, on a drive fast enough that real batches form.
+TEST(BatchingEquivalenceTest, ScratchCapacityStableUnderDeepBatches) {
+  // The IRQ scratch vector is reserved once at queue setup (to the
+  // virtual CQ depth, which bounds any batch) and must never reallocate
+  // afterwards — the zero-alloc steady-state contract. Drive the worst
+  // case: four queues and deep batches, on a drive fast enough that real
+  // batches form, with recording on so every completion lands a req id
+  // in the scratch.
+  obs::Observability obs;
   RunConfig rc;
   rc.costs.max_batch = 32;
-  rc.costs.completion_coalesce_ns = 20 * kUs;
   rc.depth = 8;
   rc.total = 500;
   rc.queues = 4;
   rc.fast_drive = true;
+  rc.obs = &obs;
   RunResult r = RunBatchStack(rc);
   EXPECT_EQ(r.completed, 500);
+  const LatencyHistogram* bs =
+      obs.metrics().FindHistogram("router.batch_size");
+  ASSERT_NE(bs, nullptr);
+  EXPECT_GT(bs->max(), 1u);
 
   ASSERT_EQ(r.irq_caps_setup.size(), 4u);
   ASSERT_EQ(r.irq_caps_end.size(), 4u);
   for (u32 s = 0; s < 4; s++) {
     // Reserved at setup to at least a full batch...
     EXPECT_GE(r.irq_caps_setup[s], rc.costs.max_batch) << "shard " << s;
-    EXPECT_GE(r.coalesce_caps_setup[s], rc.costs.max_batch) << "shard " << s;
-    // ...and not one byte of growth after 500 coalesced completions.
+    // ...and not one byte of growth after 500 batched completions.
     EXPECT_EQ(r.irq_caps_end[s], r.irq_caps_setup[s]) << "shard " << s;
-    EXPECT_EQ(r.coalesce_caps_end[s], r.coalesce_caps_setup[s])
-        << "shard " << s;
   }
 }
 
@@ -448,81 +419,6 @@ TEST(NotifyChannelBatchTest, EndBatchFiresSingleDeferredKick) {
   EXPECT_FALSE(ch.EndBatch());  // empty batch: no kick
   EXPECT_EQ(kicks, 2);
   EXPECT_EQ(ch.PendingRequests(), 4u);
-}
-
-// --- Uring batched submission -------------------------------------------------
-
-TEST(UringBatchTest, StagedOpsShareOneEnterAndAutoFlush) {
-  sim::Simulator sim;
-  sim::VCpu cpu(&sim, "uif0");
-  kblock::RamBlockDevice dev(&sim, 4 * MiB);
-  uif::UringParams params;
-  params.submit_batch = 8;
-  uif::Uring ring(&sim, &dev, &cpu, params);
-
-  std::vector<u8> data(512, 0xAB);
-  int done = 0;
-  for (int i = 0; i < 3; i++) {
-    auto t = std::make_unique<uif::IovecTicket>();
-    t->iovecs = {{data.data(), data.size()}};
-    t->done = [&](Status st) {
-      EXPECT_TRUE(st.ok());
-      done++;
-    };
-    ring.QueueWritev(std::move(t), i);
-  }
-  EXPECT_EQ(ring.staged(), 3u);  // held for the end-of-event flush
-  EXPECT_EQ(ring.enters(), 0u);
-  sim.Run();
-  EXPECT_EQ(done, 3);
-  EXPECT_EQ(ring.staged(), 0u);
-  EXPECT_EQ(ring.enters(), 1u);  // one io_uring_enter for the batch
-  EXPECT_EQ(ring.submitted(), 3u);
-  EXPECT_EQ(ring.completed(), 3u);
-}
-
-TEST(UringBatchTest, BatchFillFlushesImmediately) {
-  sim::Simulator sim;
-  sim::VCpu cpu(&sim, "uif0");
-  kblock::RamBlockDevice dev(&sim, 4 * MiB);
-  uif::UringParams params;
-  params.submit_batch = 2;
-  uif::Uring ring(&sim, &dev, &cpu, params);
-
-  std::vector<u8> data(512, 0x5C);
-  for (int i = 0; i < 4; i++) {
-    auto t = std::make_unique<uif::IovecTicket>();
-    t->iovecs = {{data.data(), data.size()}};
-    ring.QueueWritev(std::move(t), i);
-  }
-  EXPECT_EQ(ring.enters(), 2u);  // two full batches flushed on the spot
-  EXPECT_EQ(ring.staged(), 0u);
-  sim.Run();
-  EXPECT_EQ(ring.completed(), 4u);
-}
-
-TEST(UringBatchTest, BatchOfOneCostsExactlyLegacySubmit) {
-  // Calibration: enter_cpu_ns is carved out of submit_cpu_ns, so a lone
-  // staged op burns the same CPU as the legacy per-op path.
-  auto run = [](u32 submit_batch) {
-    sim::Simulator sim;
-    sim::VCpu cpu(&sim, "uif0");
-    kblock::RamBlockDevice dev(&sim, 4 * MiB);
-    uif::UringParams params;
-    params.submit_batch = submit_batch;
-    uif::Uring ring(&sim, &dev, &cpu, params);
-    std::vector<u8> data(512, 0x11);
-    auto t = std::make_unique<uif::IovecTicket>();
-    t->iovecs = {{data.data(), data.size()}};
-    ring.QueueWritev(std::move(t), 0);
-    sim.Run();
-    EXPECT_EQ(ring.completed(), 1u);
-    return std::pair<SimTime, u64>(sim.now(), cpu.busy_ns());
-  };
-  auto [legacy_end, legacy_busy] = run(1);
-  auto [batched_end, batched_busy] = run(8);
-  EXPECT_EQ(batched_end, legacy_end);
-  EXPECT_EQ(batched_busy, legacy_busy);
 }
 
 }  // namespace

@@ -285,6 +285,12 @@ TEST_F(CoreFixture, FlushRoutesThroughFastPath) {
 
 // --- Encryption function ---------------------------------------------------------
 
+/// A buggy classifier that sends commands to the UIF only and "forgets"
+/// the LBA translation: SEND_NQ | WILL_COMPLETE_NQ.
+constexpr const char* kNotifyOnlyUntranslated =
+    "  mov r0, 0x240000\n"
+    "  exit\n";
+
 struct EncryptionFixture : CoreFixture {
   std::unique_ptr<kblock::NvmeBlockDevice> kernel_dev;
   std::unique_ptr<uif::UifHost> uif_host;
@@ -301,8 +307,8 @@ struct EncryptionFixture : CoreFixture {
     Build(cfg, functions::EncryptorClassifierAsm());
     kernel_dev = std::make_unique<kblock::NvmeBlockDevice>(
         &sim, phys.get(), &dma, 1);
-    auto enc = functions::EncryptorUif::Create(&sim, kernel_dev.get(),
-                                               key.data(), key.size());
+    auto enc = functions::EncryptorUif::Create(kernel_dev.get(), key.data(),
+                                               key.size());
     ASSERT_TRUE(enc.ok());
     encryptor = std::move(*enc);
     channel = std::make_unique<core::NotifyChannel>();
@@ -355,6 +361,24 @@ TEST_F(EncryptionFixture, PartitionedEncryptionUsesGuestRelativeTweaks) {
   xts->EncryptRange(2, 512, in.data(), expect.data(), in.size());
   EXPECT_TRUE(
       phys->store().Matches((4096 + 2) * 512, expect.data(), expect.size()));
+}
+
+TEST_F(EncryptionFixture, NotifyOnlyVerdictCannotEscapePartition) {
+  // The notify leg is contained like the fast and kernel legs: the
+  // encryptor writes namespace-absolute sectors, so an untranslated
+  // guest LBA would land in another VM's part of the drive.
+  BuildEncryption(/*part_first=*/4096);
+  auto prog = ebpf::Assemble(kNotifyOnlyUntranslated);
+  ASSERT_TRUE(prog.ok());
+  ASSERT_TRUE(vc->InstallClassifier(std::move(*prog)).ok());
+  std::vector<u8> in(512, 0x5A);
+  EXPECT_EQ(GuestWrite(5, in),
+            nvme::MakeStatus(nvme::kSctGeneric, nvme::kScLbaOutOfRange));
+  EXPECT_EQ(vc->requests_failed(), 1u);
+  EXPECT_EQ(encryptor->writes_encrypted(), 0u);
+  // Absolute LBA 5, outside the partition, is untouched.
+  EXPECT_TRUE(phys->store().Matches(5 * 512, std::vector<u8>(512, 0).data(),
+                                    512));
 }
 
 TEST_F(EncryptionFixture, DmCryptCanReadNvmetroEncryptedDisk) {
@@ -441,14 +465,18 @@ struct ReplicationFixture : CoreFixture {
   std::unique_ptr<core::NotifyChannel> channel;
   std::unique_ptr<functions::ReplicatorUif> replicator;
 
-  void BuildReplication() {
-    Build({}, functions::ReplicatorClassifierAsm());
+  void BuildReplication(u64 part_first = 0) {
+    VirtualController::Config cfg;
+    if (part_first) {
+      cfg.part_first_lba = part_first;
+      cfg.part_nlb = 32 * MiB / 512;
+    }
+    Build(cfg, functions::ReplicatorClassifierAsm());
     secondary_media =
         std::make_unique<kblock::RamBlockDevice>(&sim, 64 * MiB, 20 * kUs);
     secondary = std::make_unique<kblock::RemoteBlockDevice>(
         &sim, secondary_media.get());
-    replicator = std::make_unique<functions::ReplicatorUif>(
-        &sim, secondary.get());
+    replicator = std::make_unique<functions::ReplicatorUif>(secondary.get());
     channel = std::make_unique<core::NotifyChannel>();
     uif_host = std::make_unique<uif::UifHost>(&sim, "repl");
     vc->AttachUif(channel.get());
@@ -492,6 +520,23 @@ TEST_F(ReplicationFixture, ReadsServedLocallyWithoutUif) {
   EXPECT_EQ(GuestRead(3, &out), nvme::kStatusSuccess);
   EXPECT_EQ(out, in);
   EXPECT_EQ(vc->notify_path_sends(), notify_before);  // read skipped UIF
+}
+
+TEST_F(ReplicationFixture, NotifyOnlyVerdictCannotEscapePartition) {
+  // The replicator maps a namespace-absolute sector back into the
+  // partition; an untranslated LBA would wrap, fail on the secondary and
+  // silently degrade the mirror. The router refuses the leg instead.
+  BuildReplication(/*part_first=*/4096);
+  auto prog = ebpf::Assemble(kNotifyOnlyUntranslated);
+  ASSERT_TRUE(prog.ok());
+  ASSERT_TRUE(vc->InstallClassifier(std::move(*prog)).ok());
+  std::vector<u8> in(512, 0x6B);
+  EXPECT_EQ(GuestWrite(5, in),
+            nvme::MakeStatus(nvme::kSctGeneric, nvme::kScLbaOutOfRange));
+  EXPECT_EQ(vc->requests_failed(), 1u);
+  EXPECT_FALSE(replicator->degraded());
+  EXPECT_EQ(replicator->writes_replicated(), 0u);
+  EXPECT_EQ(replicator->writes_failed(), 0u);
 }
 
 // --- Kernel path -------------------------------------------------------------------

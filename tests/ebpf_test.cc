@@ -129,6 +129,18 @@ struct AluCase {
   u64 expect32;
 };
 
+// Printed by value: gtest's default would print the `op` pointer, which
+// moves with ASLR, into the test listing.
+void PrintTo(const AluCase& c, std::ostream* os) {
+  *os << c.op << " " << c.a << " " << c.b;
+}
+
+/// Names a case after its op and its index, e.g. `add_0`.
+template <typename Case>
+std::string OpCaseName(const ::testing::TestParamInfo<Case>& p) {
+  return std::string(p.param.op) + "_" + std::to_string(p.index);
+}
+
 std::string AluProgText(const AluCase& c, bool is64) {
   char buf[256];
   snprintf(buf, sizeof(buf),
@@ -179,7 +191,8 @@ INSTANTIATE_TEST_SUITE_P(
         AluCase{"lsh", 1, 40, 1ull << 40, 1u << 8},  // 32-bit masks shift
         AluCase{"rsh", 1ull << 40, 8, 1ull << 32, 0},
         AluCase{"arsh", static_cast<u64>(-256), 4, static_cast<u64>(-16),
-                0xFFFFFFF0u}));
+                0xFFFFFFF0u}),
+    OpCaseName<AluCase>);
 
 TEST_F(EbpfFixture, NegInstruction) {
   EXPECT_EQ(MustRun("mov r0, 5\nneg r0\nexit\n"), static_cast<u64>(-5));
@@ -202,6 +215,10 @@ struct JmpCase {
   i64 b;
   bool taken;
 };
+
+void PrintTo(const JmpCase& c, std::ostream* os) {
+  *os << c.op << " " << c.a << " " << c.b;
+}
 
 class JmpSemanticsTest : public EbpfFixture,
                          public ::testing::WithParamInterface<JmpCase> {};
@@ -233,7 +250,8 @@ INSTANTIATE_TEST_SUITE_P(
                       JmpCase{"jsgt", 0, -1, true},
                       JmpCase{"jslt", static_cast<u64>(-2), -1, true},
                       JmpCase{"jsge", static_cast<u64>(-1), -1, true},
-                      JmpCase{"jsle", static_cast<u64>(-1), 0, true}));
+                      JmpCase{"jsle", static_cast<u64>(-1), 0, true}),
+    OpCaseName<JmpCase>);
 
 // --- Context access ------------------------------------------------------------
 
@@ -777,7 +795,10 @@ TEST_P(AluDifferentialTest, RandomProgramsMatchReferenceEvaluator) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AluDifferentialTest,
-                         ::testing::Values(1, 7, 42, 1234, 987654321));
+                         ::testing::Values(1, 7, 42, 1234, 987654321),
+                         [](const ::testing::TestParamInfo<u64>& p) {
+                           return std::to_string(p.param);
+                         });
 
 // --- Unsupported encodings are rejected, not misexecuted ---------------------------
 
@@ -786,7 +807,7 @@ TEST_F(EbpfFixture, VerifierRejectsJmp32Class) {
   // the assembler never emits it.
   std::vector<Insn> insns = {
       MovImm(0, 0),
-      Insn{static_cast<u8>(kClassJmp32 | kJmpJeq), 0, 0, 0},
+      Insn{static_cast<u8>(static_cast<u8>(kClassJmp32) | kJmpJeq), 0, 0, 0},
       Exit(),
   };
   Program prog(std::move(insns), {});
@@ -796,7 +817,7 @@ TEST_F(EbpfFixture, VerifierRejectsJmp32Class) {
 TEST_F(EbpfFixture, VerifierRejectsByteswap) {
   std::vector<Insn> insns = {
       MovImm(0, 0),
-      Insn{static_cast<u8>(kClassAlu64 | kAluEnd), 0, 0, 16},
+      Insn{static_cast<u8>(static_cast<u8>(kClassAlu64) | kAluEnd), 0, 0, 16},
       Exit(),
   };
   Program prog(std::move(insns), {});

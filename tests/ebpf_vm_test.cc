@@ -120,6 +120,10 @@ struct EdgeCase {
   u64 expect_r0;
 };
 
+// Printed by name: gtest's default would print the pointers, which move
+// with ASLR, into the test listing.
+void PrintTo(const EdgeCase& c, std::ostream* os) { *os << c.name; }
+
 class EdgeCaseTest : public VmFixture,
                      public ::testing::WithParamInterface<EdgeCase> {};
 
@@ -195,9 +199,7 @@ INSTANTIATE_TEST_SUITE_P(
                  "mov r2, 6\nmov r3, 2\njset r2, r3, yes\nmov r0, 0\nexit\n"
                  "yes: mov r0, 1\nexit\n",
                  1}),
-    [](const ::testing::TestParamInfo<EdgeCase>& info) {
-      return info.param.name;
-    });
+    [](const ::testing::TestParamInfo<EdgeCase>& p) { return p.param.name; });
 
 // --- LD_IMM64 decoding --------------------------------------------------------
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strutil.h"
 #include "fsx/flatfs.h"
 #include "sim/simulator.h"
 
@@ -275,7 +276,8 @@ TEST_F(FsFixture, RandomCrashRecoveryMatchesSyncModel) {
   int crashes = 0, syncs = 0;
 
   for (int op = 0; op < 300; op++) {
-    std::string name = "f" + std::to_string(rng.NextBounded(12));
+    std::string name = StrFormat("f%llu", static_cast<unsigned long long>(
+                                              rng.NextBounded(12)));
     switch (rng.NextBounded(10)) {
       case 0: {  // create
         Status st = fs->Create(name);

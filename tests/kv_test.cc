@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/strutil.h"
 #include "fsx/flatfs.h"
 #include "kv/bloom.h"
 #include "kv/minikv.h"
@@ -24,19 +25,19 @@ namespace {
 
 TEST(BloomTest, NoFalseNegatives) {
   BloomFilter bloom(1000, 10);
-  for (int i = 0; i < 1000; i++) bloom.Add("key" + std::to_string(i));
+  for (int i = 0; i < 1000; i++) bloom.Add(StrFormat("key%d", i));
   for (int i = 0; i < 1000; i++) {
-    EXPECT_TRUE(bloom.MayContain("key" + std::to_string(i)));
+    EXPECT_TRUE(bloom.MayContain(StrFormat("key%d", i)));
   }
 }
 
 TEST(BloomTest, FalsePositiveRateReasonable) {
   BloomFilter bloom(1000, 10);
-  for (int i = 0; i < 1000; i++) bloom.Add("key" + std::to_string(i));
+  for (int i = 0; i < 1000; i++) bloom.Add(StrFormat("key%d", i));
   int fp = 0;
   const int probes = 10000;
   for (int i = 0; i < probes; i++) {
-    if (bloom.MayContain("absent" + std::to_string(i))) fp++;
+    if (bloom.MayContain(StrFormat("absent%d", i))) fp++;
   }
   // 10 bits/key gives ~1%; allow generous margin.
   EXPECT_LT(fp, probes / 20);
@@ -56,7 +57,7 @@ TEST(BloomTest, SerializationRoundTrip) {
 TEST(SsTableTest, BuildAndParseTailRoundTrip) {
   std::map<std::string, Record> records;
   for (int i = 0; i < 500; i++) {
-    std::string k = "k" + std::to_string(1000 + i);
+    std::string k = StrFormat("k%d", 1000 + i);
     records[k] = Record{k, std::string(100, static_cast<char>('a' + i % 26)),
                         false};
   }
@@ -77,13 +78,13 @@ TEST(SsTableTest, BuildAndParseTailRoundTrip) {
 TEST(SsTableTest, FindBlockLocatesKeys) {
   std::map<std::string, Record> records;
   for (int i = 100; i < 700; i++) {
-    std::string k = "key" + std::to_string(i);
+    std::string k = StrFormat("key%d", i);
     records[k] = Record{k, "v", false};
   }
   SsTableMeta meta;
   std::vector<u8> file = BuildSsTable(records, 512, 10, &meta);
   for (int i = 100; i < 700; i += 37) {
-    std::string k = "key" + std::to_string(i);
+    std::string k = StrFormat("key%d", i);
     i64 blk = meta.FindBlock(k);
     ASSERT_GE(blk, 0) << k;
     std::string value;
@@ -288,14 +289,14 @@ TEST_F(KvFixture, DeleteShadowsSstValue) {
 TEST_F(KvFixture, AutomaticFlushOnMemtableFull) {
   std::string big(4000, 'x');
   for (int i = 0; i < 40; i++) {
-    ASSERT_TRUE(PutSync("key" + std::to_string(i), big).ok());
+    ASSERT_TRUE(PutSync(StrFormat("key%d", i), big).ok());
   }
   sim.Run();
   EXPECT_GT(db->stats().flushes, 0u);
   EXPECT_GE(db->sstable_count(), 1u);
   // All keys still readable.
   for (int i = 0; i < 40; i++) {
-    ASSERT_TRUE(GetSync("key" + std::to_string(i)).ok()) << i;
+    ASSERT_TRUE(GetSync(StrFormat("key%d", i)).ok()) << i;
   }
 }
 
@@ -303,9 +304,8 @@ TEST_F(KvFixture, CompactionMergesRuns) {
   std::string pad(2000, 'p');
   for (int round = 0; round < 6; round++) {
     for (int i = 0; i < 20; i++) {
-      ASSERT_TRUE(
-          PutSync("k" + std::to_string(i), pad + std::to_string(round))
-              .ok());
+      ASSERT_TRUE(PutSync(StrFormat("k%d", i), pad + std::to_string(round))
+                      .ok());
     }
     ASSERT_TRUE(FlushSync().ok());
   }
@@ -314,7 +314,7 @@ TEST_F(KvFixture, CompactionMergesRuns) {
   EXPECT_LT(db->sstable_count(), 6u);
   // Latest values survive the merge.
   for (int i = 0; i < 20; i++) {
-    auto r = GetSync("k" + std::to_string(i));
+    auto r = GetSync(StrFormat("k%d", i));
     ASSERT_TRUE(r.ok()) << i;
     EXPECT_EQ(*r, pad + "5");
   }
@@ -322,20 +322,20 @@ TEST_F(KvFixture, CompactionMergesRuns) {
 
 TEST_F(KvFixture, CompactionDropsTombstones) {
   for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(PutSync("k" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(PutSync(StrFormat("k%d", i), "v").ok());
   }
   ASSERT_TRUE(FlushSync().ok());
   for (int i = 0; i < 10; i++) {
-    ASSERT_TRUE(DeleteSync("k" + std::to_string(i)).ok());
+    ASSERT_TRUE(DeleteSync(StrFormat("k%d", i)).ok());
   }
   for (int round = 0; round < 5; round++) {
-    ASSERT_TRUE(PutSync("pad" + std::to_string(round), "v").ok());
+    ASSERT_TRUE(PutSync(StrFormat("pad%d", round), "v").ok());
     ASSERT_TRUE(FlushSync().ok());
   }
   sim.Run();
   ASSERT_GT(db->stats().compactions, 0u);
   for (int i = 0; i < 10; i++) {
-    EXPECT_FALSE(GetSync("k" + std::to_string(i)).ok()) << i;
+    EXPECT_FALSE(GetSync(StrFormat("k%d", i)).ok()) << i;
   }
 }
 
@@ -373,7 +373,7 @@ TEST_F(KvFixture, ScanReturnsSortedRange) {
   for (int i = 0; i < 50; i++) {
     char key[16];
     snprintf(key, sizeof(key), "k%03d", i);
-    ASSERT_TRUE(PutSync(key, "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(PutSync(key, StrFormat("v%d", i)).ok());
     if (i % 17 == 0) {
       ASSERT_TRUE(FlushSync().ok());
     }
@@ -403,7 +403,7 @@ TEST_F(KvFixture, ScanSkipsTombstonesAndUsesNewest) {
 
 TEST_F(KvFixture, BloomFiltersSkipAbsentTables) {
   for (int i = 0; i < 5; i++) {
-    ASSERT_TRUE(PutSync("table" + std::to_string(i), "v").ok());
+    ASSERT_TRUE(PutSync(StrFormat("table%d", i), "v").ok());
     ASSERT_TRUE(FlushSync().ok());
   }
   u64 skips_before = db->stats().bloom_skips;
@@ -665,7 +665,7 @@ TEST(PushdownTest, KeyPrefixOrdersLikeStrings) {
 TEST(PushdownTest, SsTableIndexMatchesFindBlock) {
   std::map<std::string, Record> records;
   for (int i = 1000; i < 1600; i++) {
-    std::string k = "row" + std::to_string(i);
+    std::string k = StrFormat("row%d", i);
     records[k] = Record{k, std::string(40, 'v'), false};
   }
   SsTableMeta meta;

@@ -605,7 +605,7 @@ TEST_F(ObsRouterFixture, MirrorFanoutGoldenTrace) {
   params.obs = &obs;
   uif::UifHost uif_host(&sim, "repl", params);
   kblock::RamBlockDevice secondary(&sim, 32 * MiB);
-  functions::ReplicatorUif repl(&sim, &secondary);
+  functions::ReplicatorUif repl(&secondary);
   vc->AttachUif(&channel);
   uif_host.AddFunction(&channel, vm.get(), &repl);
   uif_host.Start();

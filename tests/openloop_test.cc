@@ -262,7 +262,7 @@ TEST(OpenLoopTest, ZeroRateTenantYieldsNothing) {
   TenantLoad quiet;
   quiet.tenant_id = 1;
   quiet.base_iops = 0.0;
-  TenantLoad busy;
+  TenantLoad busy = quiet;  // a second default-built mix misleads GCC 12
   busy.tenant_id = 2;
   busy.base_iops = 1'000.0;
   cfg.tenants = {quiet, busy};

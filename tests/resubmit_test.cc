@@ -15,9 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "common/strutil.h"
 #include "core/classifier.h"
 #include "core/router.h"
 #include "ebpf/assembler.h"
+#include "ebpf/interpreter.h"
+#include "ebpf/vm.h"
 #include "functions/classifiers.h"
 #include "kv/pushdown.h"
 #include "kv/sstable.h"
@@ -264,8 +267,8 @@ TEST_F(ResubmitFixture, SsTablePushdownIndexRoutesToTheRightBlock) {
   kv::SsTableMeta meta;
   std::map<std::string, kv::Record> records;
   for (int i = 100; i < 500; i++) {
-    std::string k = "user" + std::to_string(i);
-    records[k] = kv::Record{k, "v" + std::to_string(i), false};
+    std::string k = StrFormat("user%d", i);
+    records[k] = kv::Record{k, StrFormat("v%d", i), false};
   }
   (void)kv::BuildSsTable(records, 512, 10, &meta);
   ASSERT_GT(meta.num_blocks(), 1u);
@@ -284,6 +287,78 @@ TEST_F(ResubmitFixture, SsTablePushdownIndexRoutesToTheRightBlock) {
     ASSERT_GE(expect, 0);
     EXPECT_EQ(block_no, static_cast<u64>(expect)) << probe;
   }
+}
+
+// --- Engine oracle -------------------------------------------------------------
+
+/// The run parameters ClassifierRuntime::Run builds for `ctx`.
+ebpf::RunParams Params(ClassifierCtx* ctx) {
+  ebpf::RunParams p;
+  p.ctx = ctx;
+  p.ctx_size = sizeof(*ctx);
+  p.ctx_desc = &NvmetroCtxDescriptor();
+  p.data = reinterpret_cast<const void*>(ctx->data);
+  p.data_len = static_cast<u32>(ctx->data_len);
+  return p;
+}
+
+TEST(PushdownEngineTest, InterpreterAndDecodedVmAgreeOnEveryIndexPage) {
+  // The router runs classifiers on the pre-decoded VM; the interpreter
+  // is its oracle. Feed the pushdown classifier every page of a real
+  // 3-level index (leaves, internal blocks and the root) as a completion
+  // hook sees them, plus the submissions that start a chain, and compare
+  // everything the router consumes: verdict, simulated cost, status and
+  // the slba/nlb/state the classifier writes back.
+  auto prog = functions::PushdownLookupClassifier();
+  ASSERT_TRUE(prog.ok());
+  ebpf::Interpreter interp;
+  ebpf::DecodedProgram decoded = ebpf::DecodedProgram::Decode(*prog);
+  ebpf::DecodedVm dvm;
+
+  std::vector<std::pair<u64, u64>> kvs;
+  for (u64 i = 0; i < 20000; i++) kvs.push_back({i * 3, i});
+  kv::PushdownIndex idx = kv::BuildPushdownIndex(kvs, 64);
+  ASSERT_EQ(idx.levels, 3u);
+
+  u32 rewrites = 0;
+  for (u64 b = 0; b < idx.num_blocks(); b++) {
+    const u8* page = idx.image.data() + b * kv::kPushdownBlockBytes;
+    u64 hit = kvs[(b * 131) % kvs.size()].first;
+    for (u64 key : {u64{0}, hit, hit + 1, kvs.back().first + 1}) {
+      for (Hook hook : {kHookVsq, kHookHcq}) {
+        ClassifierCtx in{};
+        in.current_hook = hook;
+        in.opcode = nvme::kCmdRead;
+        in.nsid = 1;
+        in.slba = idx.base_lba + b * kv::kPushdownLbasPerBlock;
+        in.nlb = kv::kPushdownLbasPerBlock;
+        in.part_limit = 1 << 20;
+        in.cmd_arg = key;
+        if (hook != kHookVsq) {
+          in.data = reinterpret_cast<u64>(page);
+          in.data_len = kv::kPushdownBlockBytes;
+          in.chain_depth = 1;
+        }
+        ClassifierCtx ci = in, cd = in;
+        auto ri = interp.Run(*prog, Params(&ci));
+        auto rd = dvm.Run(decoded, Params(&cd));
+        std::string where = "block " + std::to_string(b) + " key " +
+                            std::to_string(key) + " hook " +
+                            std::to_string(hook);
+        ASSERT_TRUE(ri.status.ok()) << where << ": " << ri.status.ToString();
+        EXPECT_EQ(rd.status.ToString(), ri.status.ToString()) << where;
+        EXPECT_EQ(rd.r0, ri.r0) << where;
+        EXPECT_EQ(ClassifierCost(rd.insns), ClassifierCost(ri.insns))
+            << where;
+        EXPECT_EQ(cd.slba, ci.slba) << where;
+        EXPECT_EQ(cd.nlb, ci.nlb) << where;
+        EXPECT_EQ(cd.state, ci.state) << where;
+        if (ci.slba != in.slba) rewrites++;
+      }
+    }
+  }
+  // The walk really chained: internal pages rewrote the LBA.
+  EXPECT_GT(rewrites, 0u);
 }
 
 }  // namespace

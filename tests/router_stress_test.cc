@@ -269,9 +269,8 @@ TEST_F(StressFixture, UifDetachFailsSubsequentRequests) {
   uif::UifHost uif_host(&sim, "enc");
   auto enc_dev = std::make_unique<kblock::NvmeBlockDevice>(&sim, phys.get(),
                                                            &dma, 1);
-  auto enc = functions::EncryptorUif::Create(&sim, enc_dev.get(),
-                                             std::vector<u8>(64, 1).data(),
-                                             64);
+  auto enc = functions::EncryptorUif::Create(
+      enc_dev.get(), std::vector<u8>(64, 1).data(), 64);
   ASSERT_TRUE(enc.ok());
   vc->AttachUif(&channel);
   uif_host.AddFunction(&channel, vm.get(), enc->get());
@@ -598,8 +597,8 @@ TEST_F(StressFixture, DeviceErrorsUnderEncryptionLoad) {
   auto enc_dev = std::make_unique<kblock::NvmeBlockDevice>(&sim, phys.get(),
                                                            &dma, 1);
   std::vector<u8> key(64, 9);
-  auto enc = functions::EncryptorUif::Create(&sim, enc_dev.get(), key.data(),
-                                             key.size());
+  auto enc =
+      functions::EncryptorUif::Create(enc_dev.get(), key.data(), key.size());
   ASSERT_TRUE(enc.ok());
   vc->AttachUif(&channel);
   uif_host.AddFunction(&channel, vm.get(), enc->get());
@@ -696,11 +695,11 @@ TEST(HeterogeneousFunctions, ThreeVmsThreeFunctionsOneRouterOneUifProcess) {
   auto enc_dev =
       std::make_unique<kblock::NvmeBlockDevice>(&sim, &phys, &dma, 1);
   std::vector<u8> key(64, 0x2A);
-  auto enc = functions::EncryptorUif::Create(&sim, enc_dev.get(), key.data(),
-                                             key.size());
+  auto enc =
+      functions::EncryptorUif::Create(enc_dev.get(), key.data(), key.size());
   ASSERT_TRUE(enc.ok());
   kblock::RamBlockDevice secondary(&sim, 32 * MiB);
-  functions::ReplicatorUif repl(&sim, &secondary);
+  functions::ReplicatorUif repl(&secondary);
   uif_host.AddFunction(&ch_enc, vm_enc.get(), enc->get());
   uif_host.AddFunction(&ch_rep, vm_rep.get(), &repl);
   host.Start();

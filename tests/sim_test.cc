@@ -198,6 +198,24 @@ TEST(VCpuTest, OpenPollingWindowCounted) {
   EXPECT_EQ(cpu.busy_ns(), 500u);  // window still open at end
 }
 
+TEST(VCpuTest, ChargeSchedulesNothingAndRunEndsWhereItEnds) {
+  // A charge is bookkeeping: it queues no event, yet Run() still ends at
+  // the instant the charged work finishes. RunUntil() ends at its bound.
+  Simulator sim;
+  VCpu cpu(&sim, "c0");
+  cpu.Charge(300);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(cpu.free_at(), 300u);
+  sim.ScheduleAt(100, [&] { cpu.Charge(50); });  // queued behind: ends 350
+  sim.RunUntil(200);
+  EXPECT_EQ(sim.now(), 200u);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.Run(), 350u);
+  EXPECT_EQ(sim.now(), 350u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(cpu.busy_ns(), 350u);
+}
+
 TEST(VCpuTest, RegisteredWithSimulator) {
   Simulator sim;
   VCpu a(&sim, "a"), b(&sim, "b");

@@ -788,7 +788,7 @@ TEST_F(SpanRouterFixture, FanoutPathExactAttribution) {
   params.obs = &obs;
   uif::UifHost uif_host(&sim, "repl", params);
   kblock::RamBlockDevice secondary(&sim, 32 * MiB);
-  functions::ReplicatorUif repl(&sim, &secondary);
+  functions::ReplicatorUif repl(&secondary);
   vc->AttachUif(&channel);
   uif_host.AddFunction(&channel, vm.get(), &repl);
   uif_host.Start();

@@ -235,7 +235,7 @@ TEST_F(UifFixture, UringWritevLandsOnDeviceAndCompletes) {
   RecordingUif impl(RecordingUif::Mode::kSyncOk);
   Build(&impl);
   kblock::RamBlockDevice dev(&sim, 4 * MiB);
-  Uring ring(&sim, &dev, host->poll_cpu());
+  Uring ring(&dev, host->poll_cpu());
 
   Rng rng(9);
   std::vector<u8> a(1024), b(512);
