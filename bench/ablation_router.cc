@@ -2,35 +2,39 @@
 // choices on the basic 512B random-read workload:
 //   - classifier on (NVMetro) vs fixed translation (MDev mode): the price
 //     of eBPF-based flexibility;
-//   - adaptive router workers vs always-spinning workers: CPU saved by
-//     idle parking at low load;
+//   - the same classifier padded with extra instructions;
 //   - shared router worker vs one worker per VM at 4 VMs.
+// `--batch-sweep` runs the batching ablation (DESIGN.md §10) instead.
 #include <cstdio>
-#include <functional>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "ebpf/assembler.h"
-#include "fault/fault.h"
 #include "functions/classifiers.h"
-#include "mem/arena.h"
-#include "obs/flight.h"
-#include "virt/guest_nvme.h"
 
 namespace nvmetro::bench {
 namespace {
 
-FioResult RunWith(core::RouterCosts costs, u32 num_vms, u32 workers,
-                  const CellSpec& cell, const BenchOptions& opts,
-                  double rate_iops = 0) {
-  Testbed tb;
-  SolutionParams params;
+/// One fio cell on a fresh NVMetro testbed with `drive` and `params`.
+/// IOPS and guest CPU are summed over the VMs; host CPU is the first
+/// VM's, since the host agents are shared. A non-empty `classifier_asm`
+/// replaces the first VM's classifier before the run.
+FioResult RunNvmetroCell(const ssd::ControllerConfig& drive,
+                         SolutionParams params, const CellSpec& cell,
+                         const BenchOptions& opts,
+                         const std::string& classifier_asm = "") {
+  Testbed tb(drive);
   params.seed = opts.seed;
-  params.num_vms = num_vms;
-  params.router_workers = workers;
-  params.router_costs = costs;
   auto bundle = SolutionBundle::Create(&tb, SolutionKind::kNvmetro, params);
   if (!bundle) return FioResult{};
+  if (!classifier_asm.empty()) {
+    auto prog = ebpf::Assemble(classifier_asm, {});
+    core::VirtualController* vc = bundle->nvmetro_host()->controller(0);
+    if (!prog.ok() || !vc->InstallClassifier(std::move(*prog)).ok()) {
+      return FioResult{};
+    }
+  }
   FioConfig cfg;
   cfg.block_size = cell.bs;
   cfg.queue_depth = cell.qd;
@@ -39,7 +43,6 @@ FioResult RunWith(core::RouterCosts costs, u32 num_vms, u32 workers,
   cfg.warmup = opts.warmup;
   cfg.duration = opts.duration;
   cfg.seed = opts.seed;
-  cfg.rate_iops = rate_iops;
   std::vector<baselines::StorageSolution*> sols;
   for (u32 i = 0; i < bundle->num_vms(); i++) {
     sols.push_back(bundle->vm_solution(i));
@@ -69,359 +72,36 @@ ssd::ControllerConfig RouterBoundDrive() {
   return cfg;
 }
 
-FioResult RunBatchCell(u32 max_batch, const CellSpec& cell,
-                       const BenchOptions& opts) {
-  Testbed tb(RouterBoundDrive());
-  SolutionParams params;
-  params.seed = opts.seed;
-  params.num_vms = 4;
-  params.router_workers = 1;  // shared worker: the contended resource
-  params.router_costs.max_batch = max_batch;
-  params.uif_max_batch = max_batch;
-  auto bundle = SolutionBundle::Create(&tb, SolutionKind::kNvmetro, params);
-  if (!bundle) return FioResult{};
-  FioConfig cfg;
-  cfg.block_size = cell.bs;
-  cfg.queue_depth = cell.qd;
-  cfg.num_jobs = cell.jobs;
-  cfg.mode = cell.mode;
-  cfg.warmup = opts.warmup;
-  cfg.duration = opts.duration;
-  cfg.seed = opts.seed;
-  std::vector<baselines::StorageSolution*> sols;
-  for (u32 i = 0; i < bundle->num_vms(); i++) {
-    sols.push_back(bundle->vm_solution(i));
-  }
-  auto results = workload::Fio::RunMulti(&tb.sim, sols, cfg);
-  FioResult agg = results[0];
-  for (usize i = 1; i < results.size(); i++) {
-    agg.iops += results[i].iops;
-    agg.guest_cpu_pct += results[i].guest_cpu_pct;
-  }
-  return agg;
-}
-
 /// `--batch-sweep`: batching ablation (DESIGN.md §10). 512B random
 /// read, 4 VMs sharing one router worker on a router-bound drive;
-/// sweeps max_batch x queue depth and writes machine-readable JSON
-/// (default BENCH_batching.json) for the CI bench-smoke job.
-int RunBatchSweep(const BenchOptions& opts, const std::string& json_path) {
+/// sweeps max_batch x queue depth. The `--quick` table is a golden
+/// (tests/golden/ablation_batch_sweep.txt).
+int RunBatchSweep(const BenchOptions& opts) {
   PrintHeader("Ablation: batched submission/completion pipeline",
               "512B random read, 4 VMs, 1 shared router worker, "
               "router-bound drive");
   const u32 kBatches[] = {1, 4, 16, 32};
   const u32 kDepths[] = {1, 32};
   TablePrinter t({"qd", "max_batch", "KIOPS", "vs batch=1"});
-  std::string json = "{\"bench\":\"batch_sweep\",\"bs\":512,"
-                     "\"mode\":\"randread\",\"num_vms\":4,"
-                     "\"router_workers\":1,\"cells\":[";
-  bool first = true;
-  bool qd32_ok = true;
   for (u32 qd : kDepths) {
     CellSpec cell{512, qd, 1, FioMode::kRandRead};
     double base_iops = 0;
     for (u32 mb : kBatches) {
-      FioResult r = RunBatchCell(mb, cell, opts);
+      SolutionParams params;
+      params.num_vms = 4;
+      params.router_workers = 1;  // shared worker: the contended resource
+      params.router_costs.max_batch = mb;
+      params.uif_max_batch = mb;
+      FioResult r = RunNvmetroCell(RouterBoundDrive(), params, cell, opts);
       if (mb == 1) base_iops = r.iops;
       double gain = base_iops > 0 ? (r.iops / base_iops - 1.0) * 100.0 : 0;
       t.AddRow({StrFormat("%u", qd), StrFormat("%u", mb),
                 StrFormat("%.1f", r.iops / 1000.0),
                 mb == 1 ? std::string("-") : StrFormat("%+.1f%%", gain)});
-      if (!first) json += ",";
-      first = false;
-      json += StrFormat(
-          "{\"qd\":%u,\"max_batch\":%u,\"iops\":%.1f,"
-          "\"gain_vs_unbatched_pct\":%.2f}",
-          qd, mb, r.iops, gain);
-      if (qd == 32 && mb == 32 && gain < 15.0) qd32_ok = false;
     }
-  }
-  json += StrFormat("],\"qd32_gain_ge_15pct\":%s}",
-                    qd32_ok ? "true" : "false");
-  t.Print();
-  std::printf("qd32 max_batch=32 gain >= 15%%: %s\n",
-              qd32_ok ? "yes" : "NO");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return qd32_ok ? 0 : 2;
-}
-
-// --- Shard sweep (DESIGN.md §14) ---------------------------------------------
-
-struct ShardCell {
-  SimTime sim_end = 0;
-  u64 steady_allocs = 0;
-  int completed = 0;
-};
-
-/// One closed-loop passthrough run with `queues` guest queues (=shards).
-/// Pools grow during warmup; the steady phase must not allocate.
-ShardCell RunShardCell(u32 queues, int warmup_ios, int steady_ios) {
-  sim::Simulator sim;
-  mem::IommuSpace dma{nullptr, 1ull << 40};
-  ssd::ControllerConfig cfg = Testbed::DefaultDrive();
-  cfg.capacity = 64 * MiB;
-  ssd::SimulatedController phys(&sim, &dma, cfg);
-  virt::Vm vm(&sim, virt::VmConfig{.memory_bytes = 32 * MiB});
-  core::NvmetroHost host(&sim, &phys, core::NvmetroHost::Config{});
-  core::VirtualController* vc = host.CreateController(&vm, {.vm_id = 1});
-  auto prog = functions::PassthroughClassifier();
-  if (!prog.ok() || !vc->InstallClassifier(std::move(*prog)).ok()) {
-    return ShardCell{};
-  }
-  host.Start();
-  virt::GuestNvmeDriver driver(&vm, vc);
-  if (!driver.Init(static_cast<u16>(queues)).ok()) return ShardCell{};
-
-  ShardCell r;
-  u64 buf = *vm.memory().AllocPages(1);
-  int issued = 0, target = 0;
-  std::function<void(u16)> issue = [&](u16 q) {
-    if (issued >= target) return;
-    issued++;
-    nvme::Sqe sqe = (issued % 2) ? nvme::MakeWrite(1, issued % 64, 1, buf, 0)
-                                 : nvme::MakeRead(1, issued % 64, 1, buf, 0);
-    driver.Submit(q, sqe, [&, q](nvme::NvmeStatus, u32) {
-      r.completed++;
-      issue(q);
-    });
-  };
-  target = warmup_ios;
-  for (u16 q = 0; q < queues; q++) {
-    for (int d = 0; d < 8; d++) issue(q);
-  }
-  sim.Run();
-  mem::HotPathAllocs::BeginSteadyState();
-  target = warmup_ios + steady_ios;
-  for (u16 q = 0; q < queues; q++) {
-    for (int d = 0; d < 8; d++) issue(q);
-  }
-  sim.Run();
-  mem::HotPathAllocs::EndSteadyState();
-  r.steady_allocs = mem::HotPathAllocs::steady_state_allocs();
-  r.sim_end = sim.now();
-  return r;
-}
-
-/// `--shard-sweep`: per-queue shards (DESIGN.md §14) on the closed-loop
-/// passthrough stack at shard counts 1/2/4. Gates: simulated end time
-/// equals the pinned figure of each shard count (any drift is a model
-/// change), and the hot path makes zero pool allocations in steady
-/// state. Writes BENCH_shard.json.
-int RunShardSweep(const std::string& json_path) {
-  PrintHeader("Ablation: per-queue shards & hot-path memory pools",
-              "closed-loop 512B passthrough, shard count sweep");
-  struct Pinned {
-    u32 shards;
-    SimTime sim_end_ns;
-  };
-  const Pinned kCells[] = {{1, 139695341}, {2, 72515888}, {4, 46293378}};
-  const int kWarmup = 2'000, kSteady = 10'000;
-
-  TablePrinter t({"shards", "sim end (ms)", "steady allocs"});
-  std::string json = "{\"bench\":\"shard_sweep\",\"bs\":512,"
-                     "\"mode\":\"rw_mix\",\"warmup_ios\":2000,"
-                     "\"steady_ios\":10000,\"cells\":[";
-  bool sim_pinned = true;
-  bool zero_alloc = true;
-  for (const Pinned& p : kCells) {
-    ShardCell c = RunShardCell(p.shards, kWarmup, kSteady);
-    if (c.sim_end != p.sim_end_ns) sim_pinned = false;
-    if (c.steady_allocs != 0) zero_alloc = false;
-    t.AddRow({StrFormat("%u", p.shards),
-              StrFormat("%.2f", static_cast<double>(c.sim_end) / kMs),
-              StrFormat("%llu",
-                        static_cast<unsigned long long>(c.steady_allocs))});
-    json += StrFormat(
-        "%s{\"shards\":%u,\"sim_end_ns\":%llu,\"steady_allocs\":%llu,"
-        "\"completed\":%d}",
-        p.shards == kCells[0].shards ? "" : ",", p.shards,
-        static_cast<unsigned long long>(c.sim_end),
-        static_cast<unsigned long long>(c.steady_allocs), c.completed);
   }
   t.Print();
-  std::printf("sim end == pinned figure at every shard count: %s\n",
-              sim_pinned ? "yes" : "NO");
-  std::printf("steady-state pool allocations == 0: %s\n",
-              zero_alloc ? "yes" : "NO");
-
-  json += StrFormat("],\"gates\":{\"sim_pinned\":%s,\"zero_alloc\":%s}}",
-                    sim_pinned ? "true" : "false",
-                    zero_alloc ? "true" : "false");
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", json.c_str());
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return (sim_pinned && zero_alloc) ? 0 : 2;
-}
-
-// --- Flight-recorder forensic round trip (DESIGN.md §16) --------------------
-
-struct ForensicResult {
-  bool ran = false;         // the run itself built and completed
-  bool triggered = false;   // >= 1 anomaly dump produced
-  bool parse_ok = false;    // dump text round-trips through Parse
-  bool validate_ok = false; // chronological records, stage sums == e2e
-  usize requests = 0;       // requests the dump's timeline attributes
-  u64 timeouts = 0;
-  std::string dump_path;
-  std::string error;
-};
-
-/// Faulted two-tenant run: command stalls at the device push requests
-/// past the router's deadline, the kDeadlineAbort trigger freezes the
-/// rings and writes a dump into `dump_dir`, and the dump is then parsed
-/// back and validated (every attributable request's stage sums equal its
-/// e2e latency exactly).
-ForensicResult RunFlightForensic(const std::string& dump_dir) {
-  ForensicResult out;
-  obs::Observability obs;
-  sim::Simulator sim;
-  mem::IommuSpace dma{nullptr, 1ull << 40};
-  ssd::ControllerConfig cfg = Testbed::DefaultDrive();
-  cfg.capacity = 64 * MiB;
-  cfg.obs = &obs;
-  ssd::SimulatedController phys(&sim, &dma, cfg);
-  fault::FaultInjector injector(&sim, &obs);
-  phys.SetFaultInjector(&injector);
-
-  obs::FlightTriggersConfig tcfg;
-  tcfg.dump_dir = dump_dir;
-  obs::FlightTriggers ftrig(&obs.flight(), &obs.metrics(), nullptr, tcfg);
-  core::NvmetroHost::Config hcfg;
-  hcfg.obs = &obs;
-  hcfg.flight_triggers = &ftrig;
-  hcfg.costs.request_timeout_ns = 400 * kUs;
-  core::NvmetroHost host(&sim, &phys, hcfg);
-
-  virt::Vm vm1(&sim, virt::VmConfig{.memory_bytes = 16 * MiB});
-  virt::Vm vm2(&sim, virt::VmConfig{.memory_bytes = 16 * MiB});
-  core::VirtualController* vc1 = host.CreateController(&vm1, {.vm_id = 1});
-  core::VirtualController* vc2 = host.CreateController(&vm2, {.vm_id = 2});
-  for (core::VirtualController* vc : {vc1, vc2}) {
-    auto prog = functions::PassthroughClassifier();
-    if (!prog.ok() || !vc->InstallClassifier(std::move(*prog)).ok()) {
-      out.error = "classifier install failed";
-      return out;
-    }
-  }
-  host.Start();
-  virt::GuestNvmeDriver d1(&vm1, vc1), d2(&vm2, vc2);
-  if (!d1.Init(1).ok() || !d2.Init(1).ok()) {
-    out.error = "driver init failed";
-    return out;
-  }
-
-  // A burst of certain command stalls: the affected requests sit at the
-  // device until the router's 400us deadline aborts them.
-  fault::FaultPlan plan;
-  plan.faults.push_back(
-      {.kind = fault::FaultKind::kCommandStall, .count = 4});
-  injector.Arm(plan);
-
-  struct Tenant {
-    virt::GuestNvmeDriver* drv;
-    virt::Vm* vm;
-    int completed = 0;
-    int issued = 0;
-    u64 buf = 0;
-  } tenants[2] = {{&d1, &vm1}, {&d2, &vm2}};
-  const int kIosPerTenant = 400;
-  std::function<void(int)> issue = [&](int i) {
-    Tenant& t = tenants[i];
-    if (t.issued >= kIosPerTenant) return;
-    t.issued++;
-    nvme::Sqe sqe = (t.issued % 2)
-                        ? nvme::MakeWrite(1, t.issued % 64, 1, t.buf, 0)
-                        : nvme::MakeRead(1, t.issued % 64, 1, t.buf, 0);
-    t.drv->Submit(0, sqe, [&, i](nvme::NvmeStatus, u32) {
-      tenants[i].completed++;
-      issue(i);
-    });
-  };
-  for (int i = 0; i < 2; i++) {
-    tenants[i].buf = *tenants[i].vm->memory().AllocPages(1);
-    for (int d = 0; d < 4; d++) issue(i);
-  }
-  sim.Run();
-  out.ran = tenants[0].completed == kIosPerTenant &&
-            tenants[1].completed == kIosPerTenant;
-  out.timeouts =
-      vc1->requests_timed_out() + vc2->requests_timed_out();
-  out.triggered = ftrig.dumps_produced() >= 1;
-  if (!out.triggered) {
-    out.error = "no anomaly dump was produced";
-    return out;
-  }
-  const obs::FlightTriggers::DumpInfo& info = ftrig.dumps()[0];
-  out.dump_path = info.path;
-
-  obs::FlightDump dump;
-  if (!obs::FlightDump::Parse(info.serialized, &dump, &out.error)) {
-    return out;
-  }
-  out.parse_ok = true;
-  obs::FlightTimeline timeline(dump);
-  if (!timeline.Validate(&out.error)) return out;
-  out.validate_ok = true;
-  for (const obs::FlightRequestView& v : timeline.requests()) {
-    if (v.attributable()) out.requests++;
-  }
-  return out;
-}
-
-/// `--flight-sweep`: forensic round trip (DESIGN.md §16). Gate: a
-/// deadline-abort dump from a faulted 2-tenant run is produced, parses,
-/// and validates with exact stage sums on a non-empty set of requests.
-/// Writes BENCH_flight.json.
-int RunFlightSweep(const Flags& flags, const std::string& json_path) {
-  PrintHeader("Flight recorder: forensic round trip",
-              "faulted 2-tenant passthrough, deadline-abort dump");
-  ForensicResult fr = RunFlightForensic(flags.GetString("flight-dump-dir"));
-  std::printf(
-      "forensic: run=%s timeouts=%llu dump=%s parse=%s validate=%s "
-      "(%zu attributable requests)%s%s\n",
-      fr.ran ? "ok" : "FAIL", static_cast<unsigned long long>(fr.timeouts),
-      fr.triggered ? (fr.dump_path.empty() ? "(in-memory)"
-                                           : fr.dump_path.c_str())
-                   : "NONE",
-      fr.parse_ok ? "ok" : "FAIL", fr.validate_ok ? "ok" : "FAIL",
-      fr.requests, fr.error.empty() ? "" : " error: ", fr.error.c_str());
-  bool gate_forensic = fr.ran && fr.triggered && fr.parse_ok &&
-                       fr.validate_ok && fr.requests > 0;
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(
-        f,
-        "{\"bench\":\"flight_sweep\",\n"
-        " \"forensic\":{\"timeouts\":%llu,\"requests\":%zu,"
-        "\"dump_path\":\"%s\"},\n"
-        " \"gates\":{\"forensic_roundtrip\":%s}}\n",
-        static_cast<unsigned long long>(fr.timeouts), fr.requests,
-        fr.dump_path.c_str(), gate_forensic ? "true" : "false");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return gate_forensic ? 0 : 2;
+  return 0;
 }
 
 int Main(int argc, const char* const* argv) {
@@ -430,21 +110,6 @@ int Main(int argc, const char* const* argv) {
   flags.DefineBool("batch-sweep", false,
                    "run the batching ablation sweep instead of the "
                    "standard ablation table");
-  flags.DefineString("batch-json", "BENCH_batching.json",
-                     "output path for the batch-sweep JSON (empty: none)");
-  flags.DefineBool("shard-sweep", false,
-                   "run the per-queue shard sweep (pinned sim time, zero "
-                   "steady-state allocations)");
-  flags.DefineString("shard-json", "BENCH_shard.json",
-                     "output path for the shard-sweep JSON (empty: none)");
-  flags.DefineBool("flight-sweep", false,
-                   "run the flight-recorder forensic round trip "
-                   "(DESIGN.md S16)");
-  flags.DefineString("flight-json", "BENCH_flight.json",
-                     "output path for the flight-sweep JSON (empty: none)");
-  flags.DefineString("flight-dump-dir", ".",
-                     "directory for the forensic run's anomaly dump "
-                     "(empty: keep in memory)");
   Status st = flags.Parse(argc, argv);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -452,15 +117,7 @@ int Main(int argc, const char* const* argv) {
   }
   BenchOptions opts = OptionsFromFlags(flags);
 
-  if (flags.GetBool("batch-sweep")) {
-    return RunBatchSweep(opts, flags.GetString("batch-json"));
-  }
-  if (flags.GetBool("shard-sweep")) {
-    return RunShardSweep(flags.GetString("shard-json"));
-  }
-  if (flags.GetBool("flight-sweep")) {
-    return RunFlightSweep(flags, flags.GetString("flight-json"));
-  }
+  if (flags.GetBool("batch-sweep")) return RunBatchSweep(opts);
 
   PrintHeader("Ablation: router design choices",
               "512B random read; IOPS and host CPU%% per variant");
@@ -479,60 +136,33 @@ int Main(int argc, const char* const* argv) {
               StrFormat("%.0f", mdev.host_cpu_pct)});
   }
 
-  // (2) Adaptive vs always-spinning worker at a low 5K IOPS rate.
-  {
-    CellSpec cell{512, 4, 1, FioMode::kRandRead};
-    core::RouterCosts adaptive;  // defaults: adaptive on
-    core::RouterCosts spinning;
-    spinning.adaptive_worker = false;
-    FioResult a = RunWith(adaptive, 1, 1, cell, opts, 5'000);
-    FioResult s = RunWith(spinning, 1, 1, cell, opts, 5'000);
-    t.AddRow({"adaptive worker @5K IOPS",
-              StrFormat("%.1f", a.iops / 1000.0),
-              StrFormat("%.0f", a.host_cpu_pct)});
-    t.AddRow({"spinning worker @5K IOPS",
-              StrFormat("%.1f", s.iops / 1000.0),
-              StrFormat("%.0f", s.host_cpu_pct)});
-  }
-
-  // (2b) Classifier complexity sweep: the same passthrough policy padded
+  // (2) Classifier complexity sweep: the same passthrough policy padded
   // with extra (verified) eBPF work — flexibility must stay ~free even
   // for much larger programs, because the per-request classifier cost is
   // nanoseconds against a multi-microsecond device.
   for (u32 pad : {0u, 64u, 256u}) {
     CellSpec cell{512, 128, 1, FioMode::kRandRead};
-    Testbed tb;
-    SolutionParams params;
-    params.seed = opts.seed;
-    auto bundle = SolutionBundle::Create(&tb, SolutionKind::kNvmetro, params);
-    if (!bundle) continue;
     std::string text;
     for (u32 i = 0; i < pad; i++) text += "  mov r3, 7\n";
     text += functions::PassthroughClassifierAsm();
-    auto prog = ebpf::Assemble(text, {});
-    if (!prog.ok()) continue;
-    core::VirtualController* vc = bundle->nvmetro_host()->controller(0);
-    if (!vc->InstallClassifier(std::move(*prog)).ok()) continue;
-    FioConfig cfg;
-    cfg.block_size = cell.bs;
-    cfg.queue_depth = cell.qd;
-    cfg.num_jobs = cell.jobs;
-    cfg.mode = cell.mode;
-    cfg.warmup = opts.warmup;
-    cfg.duration = opts.duration;
-    cfg.seed = opts.seed;
-    auto res = workload::Fio::Run(&tb.sim, bundle->vm_solution(0), cfg);
+    FioResult r = RunNvmetroCell(Testbed::DefaultDrive(), SolutionParams{},
+                                 cell, opts, text);
     t.AddRow({StrFormat("classifier +%u padding insns, qd128", pad),
-              StrFormat("%.1f", res.iops / 1000.0),
-              StrFormat("%.0f", res.host_cpu_pct)});
+              StrFormat("%.1f", r.iops / 1000.0),
+              StrFormat("%.0f", r.host_cpu_pct)});
   }
 
   // (3) Shared vs per-VM workers, 4 VMs at QD32.
   {
     CellSpec cell{512, 32, 1, FioMode::kRandRead};
-    core::RouterCosts costs;
-    FioResult shared = RunWith(costs, 4, 1, cell, opts);
-    FioResult per_vm = RunWith(costs, 4, 4, cell, opts);
+    SolutionParams params;
+    params.num_vms = 4;
+    params.router_workers = 1;
+    FioResult shared =
+        RunNvmetroCell(Testbed::DefaultDrive(), params, cell, opts);
+    params.router_workers = 4;
+    FioResult per_vm =
+        RunNvmetroCell(Testbed::DefaultDrive(), params, cell, opts);
     t.AddRow({"4 VMs, 1 shared worker",
               StrFormat("%.1f", shared.iops / 1000.0),
               StrFormat("%.0f", shared.host_cpu_pct)});

@@ -1,18 +1,14 @@
-// Availability under injected failures.
+// Availability under injected failures: NVMetro replication under a
+// steady 4K write load while the NVMe-oF link to the secondary drops and
+// heals. Reports a per-millisecond timeline — completions, mean latency,
+// degraded writes, the dirty-region backlog and resync progress —
+// showing the guest's view of a replica outage: no stall, a degraded
+// window, then a background resync back to a clean mirror. Exits 1 when
+// the outage was guest-visible, the mirror stayed dirty, or the SLO
+// watchdog's breach windows disagree with the guest's errors.
 //
-// Default (timeline) mode: NVMetro replication under a steady 4K write
-// load while the NVMe-oF link to the secondary drops and heals. Reports
-// a per-millisecond timeline — completions, mean latency, degraded
-// writes, the dirty-region backlog and resync progress — showing the
-// guest's view of a replica outage: no stall, a degraded window, then a
-// background resync back to a clean mirror.
-//
-// --sweep mode (CI fault-matrix): runs a seeded random FaultPlan against
-// every solution stack and checks the recovery invariants the test suite
-// pins — every request reaches a guest-visible outcome, the router's
-// per-path books balance (sends == completions + aborts + timeouts) and
-// no trace span stays open. Exits non-zero on any violation.
-#include <algorithm>
+// The random-plan recovery sweep over every stack is a ctest
+// (FaultSweep in tests/fault_test.cc).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -226,146 +222,8 @@ int RunTimeline(const Flags& flags) {
   return 0;
 }
 
-bool RouterKind(SolutionKind kind) {
-  switch (kind) {
-    case SolutionKind::kNvmetro:
-    case SolutionKind::kMdev:
-    case SolutionKind::kNvmetroEncryption:
-    case SolutionKind::kNvmetroSgx:
-    case SolutionKind::kNvmetroReplication:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// One random-plan run against one stack; returns true when every
-/// recovery invariant held.
-bool SweepOne(SolutionKind kind, u64 seed, const BenchOptions& dump) {
-  obs::Observability obs(ObsConfigFor(dump));
-  ssd::ControllerConfig drive = Testbed::DefaultDrive();
-  drive.obs = &obs;
-  Testbed tb(drive);
-  FaultInjector injector(&tb.sim, &obs);
-  SolutionParams params;
-  params.obs = &obs;
-  params.fault = &injector;
-  fault::FaultCaps caps;
-  if (RouterKind(kind)) {
-    params.router_costs.request_timeout_ns = 5 * kMs;
-    params.router_costs.max_retries = 3;
-    params.router_costs.uif_liveness_timeout_ns = 300 * kUs;
-    params.router_costs.uif_failover_to_kernel =
-        kind == SolutionKind::kNvmetroReplication;
-  } else {
-    caps.stalls = false;  // no host timeout machinery: a stall hangs
-    caps.wedge = false;   // no UIF process to wedge
-  }
-  auto bundle = SolutionBundle::Create(&tb, kind, params);
-  if (!bundle) {
-    std::fprintf(stderr, "%s: failed to build\n", SolutionKindName(kind));
-    return false;
-  }
-  FaultPlan plan = FaultPlan::Random(seed, caps);
-  injector.Arm(plan);
-  SimTime faults_clear = 0;
-  for (const auto& f : plan.faults) {
-    faults_clear = std::max(faults_clear, f.at_ns + f.duration_ns);
-  }
-  // Availability view of recovery: first successful completion after the
-  // last fault clears (same definition as the timeline JSON field).
-  RecoveryTracker recovery(faults_clear, ~0ull);
-
-  // SLO watchdog armed alongside the invariant checker: with a zero
-  // error-rate budget and windows telescoping over the whole run, it
-  // must breach iff any request reached the guest with an error.
-  obs::SloWatchdog slo(&obs.metrics(), &obs.flight(),
-                       {.interval_ns = 1 * kMs});
-  if (RouterKind(kind)) {
-    slo.AddErrorRateTarget("errors", "router.failed", "router.requests", 0.0);
-    slo.Start(0, 40 * kMs, SimScheduler(&tb.sim));
-  }
-
-  baselines::StorageSolution* sol = bundle->vm_solution(0);
-  const u64 ops = 64;
-  u64 done = 0, failed = 0;
-  for (u64 i = 0; i < ops; i++) {
-    tb.sim.ScheduleAfter(i * 150 * kUs, [&, i] {
-      using Op = baselines::StorageSolution::Op;
-      Op op = (i % 7 == 6) ? Op::kFlush : (i % 2) ? Op::kRead : Op::kWrite;
-      u64 len = (op == Op::kFlush) ? 0 : 4096;
-      sol->Submit(i % 4, op, (i % 32) * 4096, len, nullptr, [&](Status st) {
-        done++;
-        if (!st.ok()) failed++;
-        recovery.OnCompletion(tb.sim.now(), st.ok(), 0);
-      });
-    });
-  }
-  tb.sim.Run();
-
-  bool ok = done == ops;
-  const obs::MetricsRegistry& m = obs.metrics();
-  if (RouterKind(kind)) {
-    ok = ok && m.CounterValue("router.requests") ==
-                   m.CounterValue("router.completed") +
-                       m.CounterValue("router.failed");
-    for (const char* path : {"fast", "notify", "kernel"}) {
-      std::string base = std::string("router.") + path;
-      ok = ok && m.CounterValue(base + ".sends") ==
-                     m.CounterValue(base + ".completions") +
-                         m.CounterValue(base + ".aborts") +
-                         m.CounterValue(base + ".timeouts");
-    }
-  }
-  ok = ok && obs.trace().open_requests() == 0;
-  u64 breach_windows = 0;
-  if (RouterKind(kind)) {
-    // Breach-timeline agreement: no new false positives or negatives
-    // relative to the router's own failure accounting.
-    breach_windows = slo.breach_windows("errors");
-    ok = ok && (breach_windows > 0) == (m.CounterValue("router.failed") > 0);
-  }
-  std::printf(
-      "%-20s seed=%-3llu %-4s done=%llu/%llu failed=%llu slo_breaches=%llu"
-      " ttr_ns=%lld  %s\n",
-      SolutionKindName(kind), (unsigned long long)seed, ok ? "ok" : "FAIL",
-      (unsigned long long)done, (unsigned long long)ops,
-      (unsigned long long)failed, (unsigned long long)breach_windows,
-      (long long)recovery.time_to_recover_ns(), plan.ToString().c_str());
-  if (WantObservability(dump)) DumpObservability(obs, dump);
-  return ok;
-}
-
-int RunSweep(const Flags& flags) {
-  const SolutionKind kKinds[] = {
-      SolutionKind::kNvmetro,       SolutionKind::kMdev,
-      SolutionKind::kPassthrough,   SolutionKind::kVhostScsi,
-      SolutionKind::kQemu,          SolutionKind::kSpdk,
-      SolutionKind::kNvmetroEncryption, SolutionKind::kNvmetroSgx,
-      SolutionKind::kDmCrypt,       SolutionKind::kNvmetroReplication,
-      SolutionKind::kDmMirror};
-  const u64 seed = static_cast<u64>(flags.GetInt("seed"));
-  BenchOptions dump = DumpOptionsFromFlags(flags);
-  int failures = 0;
-  for (SolutionKind kind : kKinds) {
-    if (!SweepOne(kind, seed, dump)) failures++;
-  }
-  if (failures) {
-    std::fprintf(stderr, "fault sweep: %d stack(s) violated invariants\n",
-                 failures);
-    return 1;
-  }
-  std::printf("fault sweep: all stacks clean (seed=%llu)\n",
-              (unsigned long long)seed);
-  return 0;
-}
-
 int Main(int argc, const char* const* argv) {
   Flags flags;
-  flags.DefineBool("sweep", false,
-                   "run a random fault plan against every stack and check "
-                   "recovery invariants (CI fault-matrix mode)");
-  flags.DefineInt("seed", 1, "fault plan seed (--sweep)");
   flags.DefineInt("duration-ms", 12, "timeline length");
   flags.DefineInt("interval-us", 20, "one 4K write per interval");
   flags.DefineInt("down-at-ms", 3, "link outage start");
@@ -390,7 +248,7 @@ int Main(int argc, const char* const* argv) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  return flags.GetBool("sweep") ? RunSweep(flags) : RunTimeline(flags);
+  return RunTimeline(flags);
 }
 
 }  // namespace

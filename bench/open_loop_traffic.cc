@@ -28,7 +28,7 @@
 //   - every run keeps exact books (submitted == ok + shed + failed per
 //     tenant), the token ledger conserves, and no trace span leaks.
 //
-// Headline artifact: BENCH_traffic.json (CI bench-smoke upload).
+// Headline artifact: BENCH_traffic.json (--traffic-json=).
 #include <algorithm>
 #include <cstdio>
 
@@ -130,8 +130,8 @@ struct Scenario {
   SimTime diurnal_period = 0;
   bool controller = false;
   /// Device faults concurrent with the traffic burst (the combined
-  /// overload+fault seed of the CI fault matrix): random command stalls
-  /// plus an SQ-full burst overlapping the 10x window.
+  /// overload+fault run, `--fault`): random command stalls plus an
+  /// SQ-full burst overlapping the 10x window.
   bool faults = false;
   const BenchOptions* telemetry = nullptr;
 };
@@ -492,9 +492,9 @@ int Main(int argc, const char* const* argv) {
   flags.DefineInt("seeds", 10, "seed count for --sweep");
   flags.DefineInt("seed", 1, "seed for the single-seed run");
   flags.DefineInt("duration-ms", 40, "arrival horizon per run");
-  flags.DefineBool("quick", false, "2 levels + shorter horizon (CI smoke)");
+  flags.DefineBool("quick", false, "2 levels + shorter horizon");
   flags.DefineBool("fault", false,
-                   "combined overload+fault run (CI fault matrix): command "
+                   "combined overload+fault run: command "
                    "stalls + an SQ-full burst inside the 10x window, "
                    "controller on; checks books, ledger and recovery");
   flags.DefineString("traffic-json", "BENCH_traffic.json",

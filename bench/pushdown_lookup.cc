@@ -16,8 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "common/flags.h"
-#include "common/strutil.h"
+#include "bench_common.h"
 #include "core/router.h"
 #include "ebpf/assembler.h"
 #include "functions/classifiers.h"
@@ -142,18 +141,6 @@ struct SizeResult {
   bool values_ok = true;
 };
 
-bool WriteTextFile(const std::string& path, const std::string& text,
-                   const char* what) {
-  FILE* f = fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s '%s'\n", what, path.c_str());
-    return false;
-  }
-  fwrite(text.data(), 1, text.size(), f);
-  fclose(f);
-  return true;
-}
-
 /// Builds an index over `nkeys` keys, loads it into two fresh testbeds
 /// (pushdown classifier vs passthrough) and times `lookups` point
 /// lookups through each. When `prom_path` / `perfetto_path` are
@@ -197,12 +184,14 @@ bool RunSize(u64 nkeys, u32 lookups, const std::string& prom_path,
     out->resubmits_per_lookup =
         static_cast<double>(tb.vc->resubmissions() - rs0) / lookups;
     if (!prom_path.empty() &&
-        !WriteTextFile(prom_path, obs::ExportPrometheusText(tb.obs.metrics()),
-                       "Prometheus metrics"))
+        !WriteTelemetryFile(prom_path,
+                            obs::ExportPrometheusText(tb.obs.metrics()),
+                            "Prometheus metrics"))
       return false;
     if (!perfetto_path.empty() &&
-        !WriteTextFile(perfetto_path, obs::ExportPerfettoJson(tb.obs.trace()),
-                       "Perfetto trace"))
+        !WriteTelemetryFile(perfetto_path,
+                            obs::ExportPerfettoJson(tb.obs.trace()),
+                            "Perfetto trace"))
       return false;
   }
 
@@ -241,32 +230,25 @@ bool RunSize(u64 nkeys, u32 lookups, const std::string& prom_path,
   return true;
 }
 
-bool WriteJson(const std::string& path, const std::vector<SizeResult>& sizes,
-               bool ok) {
-  FILE* f = fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  fprintf(f, "{\n  \"sizes\": [\n");
+std::string ResultJson(const std::vector<SizeResult>& sizes, bool ok) {
+  std::string json = "{\n  \"sizes\": [\n";
   for (usize i = 0; i < sizes.size(); i++) {
     const SizeResult& s = sizes[i];
-    fprintf(f,
-            "    {\"keys\": %llu, \"levels\": %u, \"blocks\": %llu,\n"
-            "     \"pushdown_median_ns\": %.0f, \"routeonly_median_ns\": "
-            "%.0f,\n"
-            "     \"pushdown_completions_per_lookup\": %.2f,\n"
-            "     \"routeonly_completions_per_lookup\": %.2f,\n"
-            "     \"resubmits_per_lookup\": %.2f, \"values_ok\": %s}%s\n",
-            static_cast<unsigned long long>(s.keys), s.levels,
-            static_cast<unsigned long long>(s.blocks), s.push_med_ns,
-            s.route_med_ns, s.push_cpl_per_lookup, s.route_cpl_per_lookup,
-            s.resubmits_per_lookup, s.values_ok ? "true" : "false",
-            i + 1 < sizes.size() ? "," : "");
+    json += StrFormat(
+        "    {\"keys\": %llu, \"levels\": %u, \"blocks\": %llu,\n"
+        "     \"pushdown_median_ns\": %.0f, \"routeonly_median_ns\": "
+        "%.0f,\n"
+        "     \"pushdown_completions_per_lookup\": %.2f,\n"
+        "     \"routeonly_completions_per_lookup\": %.2f,\n"
+        "     \"resubmits_per_lookup\": %.2f, \"values_ok\": %s}%s\n",
+        static_cast<unsigned long long>(s.keys), s.levels,
+        static_cast<unsigned long long>(s.blocks), s.push_med_ns,
+        s.route_med_ns, s.push_cpl_per_lookup, s.route_cpl_per_lookup,
+        s.resubmits_per_lookup, s.values_ok ? "true" : "false",
+        i + 1 < sizes.size() ? "," : "");
   }
-  fprintf(f, "  ],\n  \"ok\": %s\n}\n", ok ? "true" : "false");
-  fclose(f);
-  return true;
+  json += StrFormat("  ],\n  \"ok\": %s\n}\n", ok ? "true" : "false");
+  return json;
 }
 
 int Main(int argc, const char* const* argv) {
@@ -274,7 +256,8 @@ int Main(int argc, const char* const* argv) {
   flags.DefineBool("sweep", false, "run all tree sizes");
   flags.DefineBool("quick", false, "smaller trees, fewer lookups");
   flags.DefineInt("lookups", 32, "point lookups per tree size");
-  flags.DefineString("json", "BENCH_pushdown.json", "output path");
+  flags.DefineString("json", "BENCH_pushdown.json",
+                     "output path for the result JSON (empty: none)");
   flags.DefineString("prom", "",
                      "export the pushdown testbed's Prometheus metrics here");
   flags.DefineString("perfetto", "",
@@ -328,7 +311,12 @@ int Main(int argc, const char* const* argv) {
   }
 
   bool ok = gate_cpl && gate_lat && gate_values;
-  WriteJson(flags.GetString("json"), results, ok);
+  const std::string json_path = flags.GetString("json");
+  if (!json_path.empty() &&
+      !WriteTelemetryFile(json_path, ResultJson(results, ok),
+                          "pushdown lookup JSON")) {
+    return 1;
+  }
   std::printf("\ngates: completions=%s latency=%s values=%s\n",
               gate_cpl ? "ok" : "FAIL", gate_lat ? "ok" : "FAIL",
               gate_values ? "ok" : "FAIL");

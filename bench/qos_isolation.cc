@@ -8,7 +8,7 @@
 // LC tenant's p999 completion latency against the gentle baseline.
 //
 // The isolation claim, checked per seed and written to BENCH_qos.json
-// (CI bench-smoke artifact): no ramp level may move any LC tenant's
+// (--qos-json=): no ramp level may move any LC tenant's
 // p999 by more than the pinned tolerance, the LC tenants never shed,
 // their SLO watchdog windows never breach, and the aggressor absorbs
 // every shed while still getting goodput (shed, not starved). --sweep

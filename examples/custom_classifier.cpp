@@ -62,6 +62,7 @@ int main() {
   Status st = vc->InstallClassifier(std::move(*evil));
   std::printf("installing a looping classifier: %s\n",
               st.ok() ? "ACCEPTED (bug!)" : st.ToString().c_str());
+  bool ok = !st.ok();
 
   // Install the QoS policy. The disassembler shows exactly what the
   // verifier approved (bpftool-style; round-trips through the assembler).
@@ -75,17 +76,18 @@ int main() {
   st = vc->InstallClassifier(std::move(*qos));
   std::printf("installing the QoS classifier: %s\n",
               st.ok() ? "verified and installed" : st.ToString().c_str());
+  if (!st.ok()) return 1;
   nvmetro.Start();
 
   virt::GuestNvmeDriver driver(&vm, vc);
-  (void)driver.Init(1);
+  if (!driver.Init(1).ok()) return 1;
 
   auto write_at = [&](u64 lba) {
     mem::GuestMemory& gm = vm.memory();
     u64 buf = *gm.AllocPages(1);
     std::vector<u8> block(512, 0x42);
     gm.Write(buf, block.data(), block.size());
-    nvme::NvmeStatus result = 0;
+    nvme::NvmeStatus result = 0xFFF;  // stays so if the write never completes
     driver.Submit(0, nvme::MakeWrite(1, lba, 1, buf, 0),
                   [&](nvme::NvmeStatus s, u32) { result = s; });
     sim.Run();
@@ -102,8 +104,11 @@ int main() {
   // Policies are hot-swappable without touching the VM (paper: install,
   // migrate and remove storage functions on the fly).
   auto open_policy = functions::PassthroughClassifier();
-  (void)vc->InstallClassifier(std::move(*open_policy));
+  if (!vc->InstallClassifier(std::move(*open_policy)).ok()) return 1;
+  nvme::NvmeStatus swapped_write = write_at(10);
   std::printf("after hot-swap to passthrough, LBA 10: %s\n",
-              nvme::StatusName(write_at(10)));
-  return 0;
+              nvme::StatusName(swapped_write));
+  ok = ok && !nvme::StatusOk(protected_write) &&
+       nvme::StatusOk(normal_write) && nvme::StatusOk(swapped_write);
+  return ok ? 0 : 1;
 }

@@ -40,20 +40,24 @@ int main() {
                secret.data(), [&](Status st) { ok = st.ok(); });
   tb.sim.Run();
   std::printf("guest write: %s\n", ok ? "ok" : "FAILED");
+  bool all_ok = ok;
 
   // 1. The guest reads its plaintext back normally.
   std::vector<u8> readback(4096, 0);
   disk->Submit(0, StorageSolution::Op::kRead, 0, readback.size(),
                readback.data(), [&](Status st) { ok = st.ok(); });
   tb.sim.Run();
+  ok = ok && readback == secret;
   std::printf("guest read round-trip: %s\n",
-              ok && readback == secret ? "plaintext intact" : "FAILED");
+              ok ? "plaintext intact" : "FAILED");
+  all_ok = all_ok && ok;
 
   // 2. The physical media never sees plaintext.
   bool plaintext_on_media =
       tb.phys->store().Matches(0, secret.data(), secret.size());
   std::printf("plaintext on physical media: %s\n",
               plaintext_on_media ? "YES (BUG!)" : "no (ciphertext only)");
+  all_ok = all_ok && !plaintext_on_media;
 
   // 3. The format is exactly dm-crypt aes-xts-plain64: mount the same
   //    media under the kernel's dm-crypt with the same key and read it.
@@ -69,10 +73,11 @@ int main() {
                                      dm_ok = st.ok();
                                    }));
   tb.sim.Run();
+  dm_ok = dm_ok && via_dmcrypt == secret;
   std::printf("dm-crypt cross-mount read: %s\n",
-              dm_ok && via_dmcrypt == secret
-                  ? "matches the guest's plaintext (formats compatible)"
-                  : "FAILED");
+              dm_ok ? "matches the guest's plaintext (formats compatible)"
+                    : "FAILED");
+  all_ok = all_ok && dm_ok;
 
   // 4. Show what an attacker with media access sees.
   std::vector<u8> media_bytes(64);
@@ -80,5 +85,5 @@ int main() {
   std::printf("first media bytes: ");
   for (int i = 0; i < 16; i++) std::printf("%02x", media_bytes[i]);
   std::printf("...\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -44,6 +44,7 @@ int main() {
   }
   tb.sim.Run();
   std::printf("%d/4 VMs wrote their signature at guest LBA 0\n", done);
+  bool isolated = done == 4;
   for (u32 i = 0; i < 4; i++) {
     std::vector<u8> out(512);
     bool ok = false;
@@ -51,8 +52,10 @@ int main() {
                                    out.data(),
                                    [&](Status st) { ok = st.ok(); });
     tb.sim.Run();
+    ok = ok && out == sig[i];
     std::printf("  vm%u reads back its own data: %s\n", i,
-                ok && out == sig[i] ? "yes (isolated)" : "CROSS-TALK!");
+                ok ? "yes (isolated)" : "CROSS-TALK!");
+    isolated = isolated && ok;
   }
 
   // Now drive all four VMs concurrently with 512B random reads at QD32
@@ -77,5 +80,5 @@ int main() {
   std::printf("aggregate: %.1f KIOPS through 1 shared router worker "
               "(host CPU %.0f%%)\n",
               total / 1000.0, results[0].host_cpu_pct);
-  return 0;
+  return isolated && total > 0 ? 0 : 1;
 }

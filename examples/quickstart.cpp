@@ -4,6 +4,7 @@
 //
 //   $ ./build/examples/quickstart
 #include <cstdio>
+#include <cstring>
 
 #include "core/router.h"
 #include "functions/classifiers.h"
@@ -76,33 +77,35 @@ int main() {
 
   nvme::Sqe write_cmd = nvme::MakeWrite(/*nsid=*/1, /*slba=*/7,
                                         /*nblocks=*/1, buf, 0);
-  bool done = false;
+  bool write_ok = false;
   driver.Submit(0, write_cmd, [&](nvme::NvmeStatus st, u32) {
     std::printf("write completed: %s (t=%.1f us)\n", nvme::StatusName(st),
                 static_cast<double>(sim.now()) / 1000.0);
-    done = true;
+    write_ok = nvme::StatusOk(st);
   });
   sim.Run();
 
   // 7. Read it back into a second buffer.
   u64 buf2 = *gm.AllocPages(1);
   nvme::Sqe read_cmd = nvme::MakeRead(1, 7, 1, buf2, 0);
+  bool read_ok = false;
   driver.Submit(0, read_cmd, [&](nvme::NvmeStatus st, u32) {
     char out[64] = {};
     gm.Read(buf2, out, sizeof(message));
     std::printf("read completed:  %s -> \"%s\"\n", nvme::StatusName(st),
                 out);
+    read_ok = nvme::StatusOk(st) &&
+              std::memcmp(out, message, sizeof(message)) == 0;
   });
   sim.Run();
 
   // 8. Where did the data land physically? At the partition offset —
   //    the classifier's LBA translation at work.
+  bool on_media = drive.store().Matches((vc_cfg.part_first_lba + 7) * 512,
+                                        message, sizeof(message));
   std::printf("media holds the data at absolute LBA %llu: %s\n",
               (unsigned long long)(vc_cfg.part_first_lba + 7),
-              drive.store().Matches((vc_cfg.part_first_lba + 7) * 512,
-                                    message, sizeof(message))
-                  ? "yes"
-                  : "no");
+              on_media ? "yes" : "no");
 
   // 9. Routing statistics.
   std::printf(
@@ -123,6 +126,5 @@ int main() {
               obs.trace().PathString(1).c_str());
   std::printf("%s", obs.trace().DumpRequest(1).c_str());
   std::printf("\nmetrics:\n%s", obs.metrics().ToText().c_str());
-  (void)done;
-  return 0;
+  return write_ok && read_ok && on_media ? 0 : 1;
 }

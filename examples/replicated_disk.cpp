@@ -55,8 +55,9 @@ int main() {
   disk->Submit(0, StorageSolution::Op::kRead, 0, out.size(), out.data(),
                [&](Status st) { ok = st.ok(); });
   tb.sim.Run();
+  ok = ok && out == data[0];
   std::printf("local read: %s in %.1f us (no remote round-trip)\n",
-              ok && out == data[0] ? "ok" : "FAILED",
+              ok ? "ok" : "FAILED",
               static_cast<double>(tb.sim.now() - start) / 1000.0);
 
   // Verify both copies byte-for-byte.
@@ -84,7 +85,11 @@ int main() {
   std::vector<u8> rescued(4096, 0);
   bundle->secondary_drive(0)->store().Read(0, rescued.data(),
                                            rescued.size());
+  bool rescued_ok = rescued == data[0];
   std::printf("primary failed; block 0 recovered from the mirror: %s\n",
-              rescued == data[0] ? "intact" : "LOST");
-  return 0;
+              rescued_ok ? "intact" : "LOST");
+  return completed == kBlocks && ok && primary_ok && secondary_ok &&
+                 rescued_ok
+             ? 0
+             : 1;
 }

@@ -1260,7 +1260,7 @@ RouterWorker::RouterWorker(sim::Simulator* sim, std::string name,
       poller_(sim, &cpu_, [&costs, &name, obs] {
         sim::Poller::Options o;
         o.dispatch_cost = costs.dispatch_cost_ns;
-        o.adaptive = costs.adaptive_worker;
+        o.adaptive = true;
         o.idle_timeout = costs.worker_idle_timeout_ns;
         o.wakeup_latency = costs.worker_wakeup_latency_ns;
         o.obs = obs;

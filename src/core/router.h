@@ -74,11 +74,11 @@ struct RouterCosts {
   SimTime vm_park_timeout_ns = 200 * kUs;
   /// Worker poller knobs.
   SimTime dispatch_cost_ns = 110;
-  /// Router workers poll adaptively: they spin briefly after the last
-  /// event and then block until the next doorbell/completion edge. This
-  /// is what keeps NVMetro's CPU near QEMU's at low load in the paper's
-  /// Figure 11, while SPDK's always-spinning reactors top the chart.
-  bool adaptive_worker = true;
+  /// Router workers always poll adaptively: they spin for this long
+  /// after the last event and then block until the next doorbell or
+  /// completion edge. This is what keeps NVMetro's CPU near QEMU's at low
+  /// load in the paper's Figure 11, while SPDK's always-spinning reactors
+  /// top the chart.
   SimTime worker_idle_timeout_ns = 15 * kUs;
   SimTime worker_wakeup_latency_ns = 3 * kUs;
   /// --- Failure recovery (all off by default; DESIGN.md §9) -------------

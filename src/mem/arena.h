@@ -5,9 +5,10 @@
 // chunks while the system warms up and then stays put. Growth is the only
 // heap traffic, and every growth event reports to HotPathAllocs — the
 // counting hook behind the "zero allocations per steady-state IO"
-// assertion in router_stress_test, shard_test and the fault-matrix CI
-// job (NVMETRO_ZERO_ALLOC_STRICT=1 turns a steady-state growth event
-// into an abort so sanitizer jobs catch regressions outside EXPECTs).
+// assertions in router_stress_test, shard_test, flight_test and
+// resubmit_test (NVMETRO_ZERO_ALLOC_STRICT=1, which ctest sets for them,
+// turns a steady-state growth event into an abort, so a regression
+// fails even outside an EXPECT).
 #pragma once
 
 #include <map>

@@ -22,6 +22,7 @@
 #include "functions/classifiers.h"
 #include "mem/address_space.h"
 #include "obs/obs.h"
+#include "router_books.h"
 #include "ssd/controller.h"
 #include "uif/framework.h"
 #include "virt/guest_nvme.h"
@@ -136,17 +137,6 @@ RunResult RunBatchStack(const RunConfig& rc) {
   return r;
 }
 
-void CheckPathBalance(const obs::MetricsRegistry& m) {
-  for (const char* path : {"fast", "notify", "kernel"}) {
-    std::string base = std::string("router.") + path;
-    EXPECT_EQ(m.CounterValue(base + ".sends"),
-              m.CounterValue(base + ".completions") +
-                  m.CounterValue(base + ".aborts") +
-                  m.CounterValue(base + ".timeouts"))
-        << base;
-  }
-}
-
 // --- QD1 equivalence ----------------------------------------------------------
 
 TEST(BatchingEquivalenceTest, Qd1TimingBitIdenticalAcrossBatchSizes) {
@@ -221,8 +211,7 @@ TEST(BatchingEquivalenceTest, Qd8FormsBatchesAndKeepsBalance) {
   const obs::MetricsRegistry& m = obs.metrics();
   EXPECT_EQ(m.CounterValue("router.requests"), 500u);
   EXPECT_EQ(m.CounterValue("router.completed"), 500u);
-  CheckPathBalance(m);
-  EXPECT_EQ(obs.trace().open_requests(), 0u);
+  ExpectRouterBooksBalance(obs);
   // The initial 8-deep burst alone guarantees a real batch formed.
   const LatencyHistogram* bs = m.FindHistogram("router.batch_size");
   ASSERT_NE(bs, nullptr);
@@ -318,8 +307,7 @@ TEST(BatchingEquivalenceTest, InjectedErrorsKeepBalanceUnderBatching) {
   EXPECT_EQ(r.failed, 25);
   const obs::MetricsRegistry& m = obs.metrics();
   EXPECT_EQ(m.CounterValue("router.fast.errors"), 25u);
-  CheckPathBalance(m);
-  EXPECT_EQ(obs.trace().open_requests(), 0u);
+  ExpectRouterBooksBalance(obs);
 }
 
 // --- Notify path under batching -----------------------------------------------
@@ -389,8 +377,7 @@ TEST(BatchingEquivalenceTest, NotifyPathBatchedKickAndUifHarvest) {
   EXPECT_EQ(m.CounterValue("router.notify.completions"), 300u);
   EXPECT_EQ(m.CounterValue("uif.requests"), 300u);
   EXPECT_EQ(m.CounterValue("uif.responses"), 300u);
-  CheckPathBalance(m);
-  EXPECT_EQ(obs.trace().open_requests(), 0u);
+  ExpectRouterBooksBalance(obs);
 }
 
 // --- NotifyChannel batch-kick unit --------------------------------------------

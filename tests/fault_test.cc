@@ -4,6 +4,7 @@
 // I/O must round-trip, and deep bursts must drain completely.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
+#include "obs/slo.h"
+#include "router_books.h"
 
 namespace nvmetro::baselines {
 namespace {
@@ -70,10 +73,7 @@ struct SolutionFaultTest : ::testing::TestWithParam<SolutionKind> {
                       m.CounterValue("router.notify.errors") +
                       m.CounterValue("router.kernel.errors");
     EXPECT_GE(path_errors, 1u) << "device faults invisible in path counters";
-    EXPECT_EQ(m.CounterValue("router.requests"),
-              m.CounterValue("router.completed") +
-                  m.CounterValue("router.failed"));
-    EXPECT_EQ(obs.trace().open_requests(), 0u);
+    ExpectRouterBooksBalance(obs);
     const obs::TraceRecorder& tr = obs.trace();
     for (u64 id = 1; id <= tr.requests_opened(); id++) {
       auto evs = tr.EventsFor(id);
@@ -248,24 +248,6 @@ struct FaultScenarioTest : ::testing::Test {
     bundle = SolutionBundle::Create(tb.get(), kind, params);
     ASSERT_NE(bundle, nullptr);
   }
-
-  void CheckRouterInvariants() {
-    const obs::MetricsRegistry& m = obs.metrics();
-    EXPECT_EQ(m.CounterValue("router.requests"),
-              m.CounterValue("router.completed") +
-                  m.CounterValue("router.failed"))
-        << "a request vanished without completing or failing";
-    for (const char* path : {"fast", "notify", "kernel"}) {
-      std::string base = std::string("router.") + path;
-      EXPECT_EQ(m.CounterValue(base + ".sends"),
-                m.CounterValue(base + ".completions") +
-                    m.CounterValue(base + ".aborts") +
-                    m.CounterValue(base + ".timeouts"))
-          << base << " send/completion imbalance";
-    }
-    EXPECT_EQ(obs.trace().open_requests(), 0u)
-        << "trace spans leaked: a request never reached its VCQ";
-  }
 };
 
 TEST_F(FaultScenarioTest, StalledCommandsTimeOutInsteadOfHanging) {
@@ -299,7 +281,7 @@ TEST_F(FaultScenarioTest, StalledCommandsTimeOutInsteadOfHanging) {
   const obs::MetricsRegistry& m = obs.metrics();
   EXPECT_EQ(m.CounterValue("router.timeouts"), 4u);
   EXPECT_EQ(m.CounterValue("router.fast.timeouts"), 4u);
-  CheckRouterInvariants();
+  ExpectRouterBooksBalance(obs);
 }
 
 TEST_F(FaultScenarioTest, TransientErrorsAreRetriedToSuccess) {
@@ -335,7 +317,7 @@ TEST_F(FaultScenarioTest, TransientErrorsAreRetriedToSuccess) {
   EXPECT_EQ(bundle->controller(0)->leg_retries(), 6u);
   EXPECT_EQ(obs.metrics().CounterValue("router.retries"), 6u);
   EXPECT_EQ(obs.metrics().CounterValue("router.timeouts"), 0u);
-  CheckRouterInvariants();
+  ExpectRouterBooksBalance(obs);
 }
 
 TEST_F(FaultScenarioTest, LateCompletionAfterSlotRecycleIsDropped) {
@@ -403,7 +385,7 @@ TEST_F(FaultScenarioTest, LateCompletionAfterSlotRecycleIsDropped) {
   EXPECT_EQ(bundle->controller(0)->stale_cid_drops(), 8u);
   // No retry fired: the error CQEs never reached a live request.
   EXPECT_EQ(bundle->controller(0)->leg_retries(), 0u);
-  CheckRouterInvariants();
+  ExpectRouterBooksBalance(obs);
 }
 
 TEST_F(FaultScenarioTest, WedgedUifFailsOverToKernelPath) {
@@ -457,7 +439,7 @@ TEST_F(FaultScenarioTest, WedgedUifFailsOverToKernelPath) {
   EXPECT_EQ(m.CounterValue("router.kernel.sends"), kernel_before + 4);
   EXPECT_EQ(m.CounterValue("router.notify.sends"), 8u)
       << "a dead UIF still received requests";
-  CheckRouterInvariants();
+  ExpectRouterBooksBalance(obs);
 }
 
 TEST_F(FaultScenarioTest, ReplicaOutageDegradesThenResyncs) {
@@ -513,7 +495,7 @@ TEST_F(FaultScenarioTest, ReplicaOutageDegradesThenResyncs) {
         i * bs, pats[i].data(), bs))
         << "secondary lost write " << i;
   }
-  CheckRouterInvariants();
+  ExpectRouterBooksBalance(obs);
 }
 
 TEST(FaultSweep, RandomPlansNeverHangAnyStack) {
@@ -524,13 +506,14 @@ TEST(FaultSweep, RandomPlansNeverHangAnyStack) {
       SolutionKind::kNvmetroEncryption, SolutionKind::kNvmetroSgx,
       SolutionKind::kDmCrypt,       SolutionKind::kNvmetroReplication,
       SolutionKind::kDmMirror};
+  const u64 kSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 22, 33};
   for (SolutionKind kind : kKinds) {
     bool router = kind == SolutionKind::kNvmetro ||
                   kind == SolutionKind::kMdev ||
                   kind == SolutionKind::kNvmetroEncryption ||
                   kind == SolutionKind::kNvmetroSgx ||
                   kind == SolutionKind::kNvmetroReplication;
-    for (u64 seed : {11ull, 22ull, 33ull}) {
+    for (u64 seed : kSeeds) {
       obs::Observability obs;
       ssd::ControllerConfig drive = Testbed::DefaultDrive();
       drive.obs = &obs;
@@ -556,8 +539,21 @@ TEST(FaultSweep, RandomPlansNeverHangAnyStack) {
       ASSERT_NE(bundle, nullptr);
       fault::FaultPlan plan = fault::FaultPlan::Random(seed, caps);
       injector.Arm(plan);
-      SCOPED_TRACE(std::string(SolutionKindName(kind)) + " " +
-                   plan.ToString());
+      SCOPED_TRACE(std::string(SolutionKindName(kind)) + " seed " +
+                   std::to_string(seed) + " " + plan.ToString());
+
+      // With a zero error budget over 1 ms windows, the SLO watchdog must
+      // breach exactly when a request reached the guest with an error.
+      obs::SloWatchdog slo(&obs.metrics(), &obs.flight(),
+                           {.interval_ns = 1 * kMs});
+      if (router) {
+        slo.AddErrorRateTarget("errors", "router.failed", "router.requests",
+                               0.0);
+        slo.Start(0, 40 * kMs,
+                  [&tb](SimTime at, std::function<void()> fn) {
+                    tb.sim.ScheduleAt(at, std::move(fn));
+                  });
+      }
 
       StorageSolution* sol = bundle->vm_solution(0);
       const int kOps = 64;
@@ -577,22 +573,14 @@ TEST(FaultSweep, RandomPlansNeverHangAnyStack) {
       tb.sim.Run();
       // Faults may fail individual ops, but every op must reach a
       // guest-visible outcome and the books must balance.
-      EXPECT_EQ(done, kOps) << "a request hung under " << plan.ToString();
-      const obs::MetricsRegistry& m = obs.metrics();
+      EXPECT_EQ(done, kOps) << "a request hung";
+      ExpectRouterBooksBalance(obs);
       if (router) {
-        EXPECT_EQ(m.CounterValue("router.requests"),
-                  m.CounterValue("router.completed") +
-                      m.CounterValue("router.failed"));
-        for (const char* path : {"fast", "notify", "kernel"}) {
-          std::string base = std::string("router.") + path;
-          EXPECT_EQ(m.CounterValue(base + ".sends"),
-                    m.CounterValue(base + ".completions") +
-                        m.CounterValue(base + ".aborts") +
-                        m.CounterValue(base + ".timeouts"))
-              << base << " imbalance";
-        }
+        u64 failed = obs.metrics().CounterValue("router.failed");
+        EXPECT_EQ(slo.breach_windows("errors") > 0, failed > 0)
+            << slo.breach_windows("errors") << " breach windows, " << failed
+            << " failed requests";
       }
-      EXPECT_EQ(obs.trace().open_requests(), 0u);
     }
   }
 }

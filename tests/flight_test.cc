@@ -456,6 +456,7 @@ struct FlightRouterFixture : ::testing::Test {
     bool with_triggers = true;
     bool with_fault_injector = false;
     SimTime request_timeout_ns = 0;
+    std::string dump_dir{};  // "": dumps stay in memory
     u16 queues = 1;
     u64 drive_capacity = 64 * MiB;
     u64 part_first_lba = 0;  // VM partition
@@ -481,7 +482,8 @@ struct FlightRouterFixture : ::testing::Test {
     if (o.with_triggers) {
       triggers = std::make_unique<obs::FlightTriggers>(
           &obs->flight(), &obs->metrics(), nullptr,
-          obs::FlightTriggersConfig{.cooldown_ns = 0, .max_dumps = 16});
+          obs::FlightTriggersConfig{
+              .dump_dir = o.dump_dir, .cooldown_ns = 0, .max_dumps = 16});
       hcfg.flight_triggers = triggers.get();
     }
     host = std::make_unique<NvmetroHost>(&sim, phys.get(), hcfg);
@@ -630,14 +632,22 @@ TEST_F(FlightRouterFixture, SlbaAbove32BitsSurvivesDumpAndInspect) {
 }
 
 TEST_F(FlightRouterFixture, DeadlineAbortTriggersForensicDump) {
-  Build({.with_fault_injector = true, .request_timeout_ns = 400 * kUs});
+  // The dump also goes to a file in the working directory: the
+  // flight_dump_inspect ctest runs this case in an empty directory and
+  // reads the file back with flight_inspect, as an operator would.
+  Build({.with_fault_injector = true,
+         .request_timeout_ns = 400 * kUs,
+         .dump_dir = "."});
+  // A completed IO ahead of the stall gives the dump a request whose
+  // stage sums Validate checks against its e2e latency.
+  ASSERT_EQ(RunOne(true, 2), nvme::kStatusSuccess);
   fault::FaultPlan plan;
   plan.faults.push_back(
       {.kind = fault::FaultKind::kCommandStall, .count = 1});
   injector->Arm(plan);
 
-  // First IO stalls at the device and aborts at the deadline; later IOs
-  // complete normally around it.
+  // The next IO stalls at the device and aborts at the deadline; later
+  // IOs complete normally around it.
   NvmeStatus st = RunOne(false, 0);
   EXPECT_NE(st, nvme::kStatusSuccess);
   ASSERT_EQ(RunOne(true, 1), nvme::kStatusSuccess);
@@ -647,18 +657,22 @@ TEST_F(FlightRouterFixture, DeadlineAbortTriggersForensicDump) {
   const obs::FlightTriggers::DumpInfo& info = triggers->dumps()[0];
   EXPECT_EQ(info.trigger, obs::FlightTrigger::kDeadlineAbort);
   EXPECT_NE(info.detail.find("vm=1"), std::string::npos);
+  EXPECT_FALSE(info.path.empty()) << "the dump file was not written";
 
   obs::FlightDump dump;
   std::string error;
   ASSERT_TRUE(obs::FlightDump::Parse(info.serialized, &dump, &error)) << error;
   obs::FlightTimeline timeline(dump);
   ASSERT_TRUE(timeline.Validate(&error)) << error;
-  const obs::FlightRequestView* v = timeline.Find(1);
+  const obs::FlightRequestView* done = timeline.Find(1);
+  ASSERT_NE(done, nullptr);
+  EXPECT_TRUE(done->attributable());
+  const obs::FlightRequestView* v = timeline.Find(2);
   ASSERT_NE(v, nullptr);
   EXPECT_TRUE(v->timed_out);
   std::vector<const obs::FlightRequestView*> failed = timeline.Failed();
   ASSERT_EQ(failed.size(), 1u);
-  EXPECT_EQ(failed[0]->req_id, 1u);
+  EXPECT_EQ(failed[0]->req_id, 2u);
 }
 
 TEST_F(FlightRouterFixture, FaultWindowMarksBracketTheAnomaly) {

@@ -4,7 +4,9 @@
 //  - a replication fan-out with one replica leg faulted drains, resyncs
 //    and leaves BOTH shards' slabs and cid tables empty;
 //  - ten thousand QoS sheds plus deadline aborts leak nothing: slab and
-//    cid occupancy return to zero and pool capacity stays bounded.
+//    cid occupancy return to zero and pool capacity stays bounded;
+//  - a closed-loop run ends at a pinned simulated time at 1, 2 and 4
+//    queues, and its steady phase grows no pool.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -21,6 +23,7 @@
 #include "mem/arena.h"
 #include "obs/obs.h"
 #include "qos/qos.h"
+#include "router_books.h"
 #include "ssd/controller.h"
 #include "virt/guest_nvme.h"
 #include "virt/vm.h"
@@ -107,11 +110,7 @@ TEST(ShardFaultTest, FaultedReplicaLegDrainsAndEmptiesBothShards) {
     EXPECT_EQ(vc->shard_cid_in_use(s), 0u)
         << "shard " << s << " leaked host cids";
   }
-  const obs::MetricsRegistry& m = obs.metrics();
-  EXPECT_EQ(m.CounterValue("router.requests"),
-            m.CounterValue("router.completed") +
-                m.CounterValue("router.failed"));
-  EXPECT_EQ(obs.trace().open_requests(), 0u);
+  ExpectRouterBooksBalance(obs);
 }
 
 // --- Shed/abort storm leaves no residue ---------------------------------------
@@ -191,11 +190,69 @@ TEST(ShardStressTest, TenThousandShedsLeaveTablesEmptyAndBounded) {
   }
   std::string err;
   EXPECT_TRUE(sched.CheckConservation(&err)) << err;
-  const obs::MetricsRegistry& m = obs.metrics();
-  EXPECT_EQ(m.CounterValue("router.requests"),
-            m.CounterValue("router.completed") +
-                m.CounterValue("router.failed"));
-  EXPECT_EQ(obs.trace().open_requests(), 0u);
+  ExpectRouterBooksBalance(obs);
+}
+
+// --- Pinned simulated time per shard count -----------------------------------
+
+TEST(ShardSweepTest, SimEndPinnedAndSteadyStateAllocFree) {
+  // Closed-loop 512 B passthrough, 8 deep on every guest queue (= shard).
+  // The warmup grows the pools; the steady phase must not allocate. The
+  // end times are the model's figures at 1, 2 and 4 shards: any drift is
+  // a change to the simulated model.
+  struct Pinned {
+    u32 queues;
+    SimTime sim_end_ns;
+  };
+  const Pinned kCells[] = {{1, 139695341}, {2, 72515888}, {4, 46293378}};
+  const int kWarmup = 2'000, kSteady = 10'000;
+  for (const Pinned& p : kCells) {
+    SCOPED_TRACE(std::to_string(p.queues) + " queues");
+    sim::Simulator sim;
+    mem::IommuSpace dma{nullptr, 1ull << 40};
+    ssd::ControllerConfig cfg = baselines::Testbed::DefaultDrive();
+    cfg.capacity = 64 * MiB;
+    ssd::SimulatedController phys(&sim, &dma, cfg);
+    virt::Vm vm(&sim, virt::VmConfig{.memory_bytes = 32 * MiB});
+    NvmetroHost host(&sim, &phys, NvmetroHost::Config{});
+    VirtualController* vc = host.CreateController(&vm, {.vm_id = 1});
+    auto prog = functions::PassthroughClassifier();
+    ASSERT_TRUE(prog.ok());
+    ASSERT_TRUE(vc->InstallClassifier(std::move(*prog)).ok());
+    host.Start();
+    virt::GuestNvmeDriver driver(&vm, vc);
+    ASSERT_TRUE(driver.Init(static_cast<u16>(p.queues)).ok());
+
+    u64 buf = *vm.memory().AllocPages(1);
+    int issued = 0, target = 0, completed = 0;
+    std::function<void(u16)> issue = [&](u16 q) {
+      if (issued >= target) return;
+      issued++;
+      nvme::Sqe sqe = (issued % 2)
+                          ? nvme::MakeWrite(1, issued % 64, 1, buf, 0)
+                          : nvme::MakeRead(1, issued % 64, 1, buf, 0);
+      driver.Submit(q, sqe, [&, q](NvmeStatus, u32) {
+        completed++;
+        issue(q);
+      });
+    };
+    target = kWarmup;
+    for (u16 q = 0; q < p.queues; q++) {
+      for (int d = 0; d < 8; d++) issue(q);
+    }
+    sim.Run();
+    mem::HotPathAllocs::BeginSteadyState();
+    target = kWarmup + kSteady;
+    for (u16 q = 0; q < p.queues; q++) {
+      for (int d = 0; d < 8; d++) issue(q);
+    }
+    sim.Run();
+    mem::HotPathAllocs::EndSteadyState();
+
+    EXPECT_EQ(completed, kWarmup + kSteady);
+    EXPECT_EQ(sim.now(), p.sim_end_ns);
+    EXPECT_EQ(mem::HotPathAllocs::steady_state_allocs(), 0u);
+  }
 }
 
 }  // namespace

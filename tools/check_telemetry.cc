@@ -7,21 +7,21 @@
 //                   [--timeseries=series.csv] [--expect-tenants=N]
 //
 // Exits non-zero (with a diagnostic) when any given file fails its
-// format check, so the bench-smoke job rejects an export regression
-// before the artifact is uploaded.
+// format check, so the ctest that validates a bench's export fails on
+// an export regression.
 //
 // --expect-tenants=N additionally requires the Prometheus text to carry
 // the per-tenant QoS series (qos_tenant<i>_admitted_total and the
 // qos_tenant<i>_latency_ns summary) for every tenant 1..N, and — when a
 // Perfetto trace is also given — requires at least one QOS_ span event
 // in it, so a wiring regression that silently drops tenant attribution
-// fails the smoke job even though the files stay format-valid.
+// fails the check even though the files stay format-valid.
 //
 // --expect-resubmit requires the classifier-chain resubmission series
 // (DESIGN.md §15): the router_resubmits_total counter and the
 // router_chain_depth histogram summary in the Prometheus text, and — when
 // a Perfetto trace is given — at least one RESUBMIT span event, so the
-// pushdown bench-smoke fails if chain telemetry silently disappears.
+// pushdown check fails if chain telemetry silently disappears.
 //
 // --expect-overload similarly requires the overload-control series
 // (DESIGN.md §13): the overload_state gauge, every per-state transition
